@@ -34,13 +34,7 @@ from .minimality import (
     property_suite,
     run_conjecture,
 )
-from .operator import (
-    edge_in_pn,
-    hl_iterate,
-    hl_step,
-    iter_simple_paths_of_order,
-    pn_adjacent,
-)
+from .operator import edge_in_pn, hl_iterate, hl_step, pn_adjacent
 
 
 @dataclass
@@ -209,9 +203,32 @@ def criterion_5(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
+def _iter_simple_paths_of_order(g: Graph, n: int):
+    """Yield every simple path on exactly n vertices, one direction each."""
+    path: list[int] = []
+
+    def extend():
+        if len(path) == n:
+            if path[0] < path[-1]:
+                yield list(path)
+            return
+        for x in g.neighbors(path[-1]):
+            if x not in seen:
+                seen.add(x)
+                path.append(x)
+                yield from extend()
+                path.pop()
+                seen.discard(x)
+
+    for start in range(g.order):
+        seen = {start}
+        path = [start]
+        yield from extend()
+
+
 def _oracle_adjacent_pairs(g: Graph, n: int) -> set:
     marked = set()
-    for path in iter_simple_paths_of_order(g, n):
+    for path in _iter_simple_paths_of_order(g, n):
         for i in range(len(path) - 2):
             e = norm_edge(path[i], path[i + 1])
             f = norm_edge(path[i + 1], path[i + 2])

@@ -28,14 +28,13 @@ class Budget:
     max_iter: int = DEFAULT_MAX_ITER
     max_order: int = DEFAULT_MAX_ORDER
     search_nodes: int = DEFAULT_SEARCH_NODES
-    canon_cap: int = DEFAULT_CANON_CAP
 
     def counter(self) -> "WorkCounter":
         return WorkCounter(self.search_nodes)
 
     def fingerprint(self) -> list[int]:
         """Stable identity of the budget, used to key cache records."""
-        return [self.max_iter, self.max_order, self.search_nodes, self.canon_cap]
+        return [self.max_iter, self.max_order, self.search_nodes]
 
 
 class WorkCounter:

@@ -29,11 +29,10 @@ from .graph import (
     components,
     induced_subgraph,
     is_cycle_graph,
-    is_isomorphic,
     longest_cycle,
     norm_edge,
 )
-from .operator import SequenceTrace, StopReason, TraceStep, hl_step
+from .operator import SequenceTrace, StopReason, _iterate, hl_step
 
 
 class CertificateKind(str, Enum):
@@ -392,66 +391,35 @@ def classify(g: Graph, n: int, budget: Budget = Budget()) -> Classification:
         raise ValueError(f"path order parameter must be >= 4, got {n}")
     counter = budget.counter()
     flags: list[str] = []
-    steps: list[TraceStep] = [_step(0, g)]
-    cur = g
-    k = 0
-    while True:
-        if cur.order == 0:
-            return Classification(
-                Outcome.TERMINATED, n, k, None, None, None,
-                SequenceTrace(n, tuple(steps), StopReason.EMPTY), tuple(flags),
-            )
-        cert, new_flags = run_certificate_checks(cur, n, counter, k)
+    found: list[Certificate] = []
+
+    def certify(k: int, h: Graph) -> bool:
+        cert, new_flags = run_certificate_checks(h, n, counter, k)
         flags.extend(new_flags)
         if cert is not None:
-            return Classification(
-                Outcome.DIVERGED_BY_ORDER, n, None, None, cert, None,
-                SequenceTrace(n, tuple(steps), StopReason.CERTIFICATE),
-                tuple(flags),
-            )
-        if k == budget.max_iter:
-            return Classification(
-                Outcome.UNKNOWN, n, None, None, None, "iter_cap",
-                SequenceTrace(n, tuple(steps), StopReason.ITER_CAP), tuple(flags),
-            )
-        try:
-            nxt = hl_step(cur, n, counter).graph
-        except ResourceLimitError:
-            flags.append(f"step_exhausted@k={k}")
-            return Classification(
-                Outcome.UNKNOWN, n, None, None, None, "order_cap",
-                SequenceTrace(n, tuple(steps), StopReason.ORDER_CAP), tuple(flags),
-            )
-        steps.append(_step(k + 1, nxt))
-        if nxt.order == 0:
-            cur = nxt
-            k += 1
-            continue
-        try:
-            fixed = is_isomorphic(cur, nxt, cap=budget.canon_cap, counter=counter)
-        except ResourceLimitError:
-            flags.append(f"isomorphism_exhausted@k={k}")
-            return Classification(
-                Outcome.UNKNOWN, n, None, None, None, "order_cap",
-                SequenceTrace(n, tuple(steps), StopReason.ORDER_CAP), tuple(flags),
-            )
-        if fixed:
-            return Classification(
-                Outcome.CONVERGED, n, k, cur, None, None,
-                SequenceTrace(n, tuple(steps), StopReason.FIXED_POINT),
-                tuple(flags),
-            )
-        if nxt.order > budget.max_order:
-            return Classification(
-                Outcome.UNKNOWN, n, None, None, None, "order_cap",
-                SequenceTrace(n, tuple(steps), StopReason.ORDER_CAP), tuple(flags),
-            )
-        cur = nxt
-        k += 1
+            found.append(cert)
+        return cert is not None
 
-
-def _step(k: int, g: Graph) -> TraceStep:
-    return TraceStep(k, g, g.order, g.size, len(components(g)))
+    trace = _iterate(g, n, budget.max_iter, budget.max_order, counter, flags, certify)
+    reason = trace.stop_reason
+    last = trace.steps[-1].k
+    if reason is StopReason.EMPTY:
+        return Classification(
+            Outcome.TERMINATED, n, last, None, None, None, trace, tuple(flags)
+        )
+    if reason is StopReason.FIXED_POINT:
+        return Classification(
+            Outcome.CONVERGED, n, last - 1, trace.steps[-2].graph, None, None,
+            trace, tuple(flags),
+        )
+    if reason is StopReason.CERTIFICATE:
+        return Classification(
+            Outcome.DIVERGED_BY_ORDER, n, None, None, found[0], None, trace,
+            tuple(flags),
+        )
+    return Classification(
+        Outcome.UNKNOWN, n, None, None, None, reason.value, trace, tuple(flags)
+    )
 
 
 # ---------------------------------------------------------------------------

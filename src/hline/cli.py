@@ -4,7 +4,8 @@ Graph arguments accept a family spec ("C6", "G(r=2,m=4)", "F7",
 "CL(3,3,2)", "P4"), an edge list ("6; 0-1, 1-2, ..."), or a graph6 line.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 budget exhausted
-(unknown outcomes present under --strict).
+(a search ran out of its work budget or size cap, or unknown outcomes are
+present under --strict).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 
 from .acceptance import run_all
-from .budget import Budget
+from .budget import Budget, ResourceLimitError
 from .cache import ClassificationCache, default_cache_dir
 from .classify import Outcome, classify
 from .families import parse_family_spec
@@ -100,7 +101,7 @@ def _cmd_classify(args) -> int:
         from .minimality import summarize
 
         code = report["input_code"]
-        cache.put(code, args.n, summarize(c, budget.canon_cap))
+        cache.put(code, args.n, summarize(c))
     if args.strict and c.outcome is Outcome.UNKNOWN:
         return EXIT_BUDGET
     return EXIT_OK
@@ -239,6 +240,9 @@ def run_cli(argv: list[str]) -> int:
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -16,6 +16,7 @@ falsity of a conjecture.
 from __future__ import annotations
 
 import multiprocessing
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
@@ -71,11 +72,11 @@ class ClassificationSummary:
         )
 
 
-def summarize(c: Classification, canon_cap: int = 24) -> ClassificationSummary:
+def summarize(c: Classification) -> ClassificationSummary:
     limit_hex = None
     if c.limit is not None:
         try:
-            limit_hex = canonical_code(c.limit, cap=canon_cap).hex()
+            limit_hex = canonical_code(c.limit).hex()
         except ResourceLimitError:
             limit_hex = None
     return ClassificationSummary(
@@ -97,7 +98,7 @@ class Classifier:
         self.memo: dict[bytes, ClassificationSummary] = {}
 
     def code(self, g: Graph) -> bytes:
-        return canonical_code(g, cap=self.budget.canon_cap)
+        return canonical_code(g)
 
     def summary(self, g: Graph) -> ClassificationSummary:
         code = self.code(g)
@@ -109,7 +110,7 @@ class Classifier:
             if hit is not None:
                 self.memo[code] = hit
                 return hit
-        summ = summarize(classify(g, self.n, self.budget), self.budget.canon_cap)
+        summ = summarize(classify(g, self.n, self.budget))
         self.memo[code] = summ
         if self.cache is not None:
             self.cache.put(code.hex(), self.n, summ)
@@ -118,8 +119,7 @@ class Classifier:
 
 def _summary_worker(args) -> tuple[bytes, ClassificationSummary]:
     g, n, budget = args
-    code = canonical_code(g, cap=budget.canon_cap)
-    return code, summarize(classify(g, n, budget), budget.canon_cap)
+    return canonical_code(g), summarize(classify(g, n, budget))
 
 
 def _warm_classifier(clf: Classifier, graphs: list[Graph], jobs: int) -> None:
@@ -574,8 +574,28 @@ def _graph_json(g: Graph) -> dict:
     return {"order": g.order, "edges": [list(e) for e in g.edges()]}
 
 
-def _graph_from_json(data: dict) -> Graph:
-    return Graph(data["order"], [tuple(e) for e in data["edges"]])
+def _sweep_graphs(
+    v_max: int, e_max: int | None = None, unions: bool = False
+) -> list[Graph]:
+    """The classes a sweep visits: connected graphs, then optionally the
+    disjoint unions of two connected graphs."""
+    graphs = list(enumerate_connected_graphs(v_max, e_max))
+    if unions:
+        graphs.extend(enumerate_two_component_unions(v_max, e_max))
+    return graphs
+
+
+def _decide(
+    g: Graph, clf: Classifier, counts: dict[str, int]
+) -> MinimalityResult | None:
+    """The minimality decision for one swept class, tallied in `counts`;
+    None for the order-1 class, which has nothing to decide."""
+    if any(g.degree(v) == 0 for v in range(g.order)):
+        return None
+    counts["swept"] += 1
+    decision = minimality_decision(g, clf.n, clf.budget, clf)
+    counts[decision.status] += 1
+    return decision
 
 
 def find_minimal_members(
@@ -594,20 +614,16 @@ def find_minimal_members(
     fits the sweep) and every cycle of length n..v_max.
     """
     clf = Classifier(n, budget, cache)
-    candidates = list(enumerate_connected_graphs(v_max, e_max))
-    if include_unions:
-        candidates.extend(enumerate_two_component_unions(v_max, e_max))
+    candidates = _sweep_graphs(v_max, e_max, include_unions)
     _warm_classifier(clf, candidates, jobs)
 
     records: list[MinimalityRecord] = []
     counts = {"swept": 0, "yes": 0, "no": 0, "unknown": 0}
     status_by_code: dict[str, str] = {}
     for g in candidates:
-        if any(g.degree(v) == 0 for v in range(g.order)):
-            continue  # order-1 class: nothing to decide
-        counts["swept"] += 1
-        decision = minimality_decision(g, n, budget, clf)
-        counts[decision.status] += 1
+        decision = _decide(g, clf, counts)
+        if decision is None:
+            continue
         code_hex = clf.code(g).hex()
         status_by_code[code_hex] = decision.status
         if decision.status in ("yes", "unknown"):
@@ -645,16 +661,12 @@ def find_minimal_members(
 # Conjecture harnesses
 # ---------------------------------------------------------------------------
 
-CONJECTURE_IDS = (
-    "divergence-iff-long-cycle",
-    "noniso-convergent-pair",
-    "minimal-implies-unicyclic",
-    "unique-minimal-subgraph",
-)
-
 STATUS_NO_COUNTEREXAMPLE = "no-counterexample-within-bounds"
 STATUS_COUNTEREXAMPLE = "counterexample-found"
 STATUS_INCONCLUSIVE = "inconclusive"
+
+# A predicate's verdict when an unknown classification keeps it from deciding.
+_UNDECIDED = "undecided"
 
 
 @dataclass
@@ -703,238 +715,204 @@ def run_conjecture(
 ) -> ConjectureReport:
     """Run one falsification sweep over the enumerated graph classes.
 
-    Counterexamples are independently re-verified (fresh classifications,
-    no cache) before being reported; unknown classifications downgrade the
-    overall status to inconclusive.
+    The conjecture's predicate sees each class and returns a candidate,
+    None, or _UNDECIDED.  Candidates are re-checked from fresh
+    classifications (no cache) before being reported.  A candidate of a
+    refuting harness gives counterexample-found; otherwise any candidate or
+    undecided class gives inconclusive.
     """
     if conjecture not in CONJECTURE_IDS:
         raise ValueError(f"unknown conjecture id {conjecture!r}")
-    if conjecture == "divergence-iff-long-cycle":
-        return _sweep_divergence_iff_long_cycle(n, v_max, budget, cache, jobs)
-    if conjecture == "noniso-convergent-pair":
-        return _sweep_noniso_pair(n, v_max, budget, cache, jobs)
-    if conjecture == "minimal-implies-unicyclic":
-        return _sweep_minimal_unicyclic(n, v_max, budget, cache, jobs)
-    return _sweep_unique_minimal(n, v_max, budget, cache, jobs)
+    harness = _HARNESSES[conjecture]
+    clf = Classifier(n, budget, cache)
+    graphs = _sweep_graphs(v_max, unions=harness.unions)
+    if harness.warm:
+        _warm_classifier(clf, graphs, jobs)
+    stats = dict.fromkeys(harness.stats, 0)
+    candidates: list[ConjectureCandidate] = []
+    undecided = False
+    for g in graphs:
+        verdict = harness.predicate(g, clf, stats)
+        if verdict is _UNDECIDED:
+            undecided = True
+        elif verdict is not None:
+            candidates.append(verdict)
+    if candidates and harness.refuting:
+        status = STATUS_COUNTEREXAMPLE
+    elif candidates or undecided:
+        status = STATUS_INCONCLUSIVE
+    else:
+        status = STATUS_NO_COUNTEREXAMPLE
+    return ConjectureReport(conjecture, n, v_max, status, candidates, stats)
 
 
-def _sweep_divergence_iff_long_cycle(
-    n: int, v_max: int, budget: Budget, cache, jobs: int
-) -> ConjectureReport:
+def _divergence_without_long_cycle(g: Graph, clf: Classifier, stats: dict):
     """Graphs that grow past the order cap without any iterate satisfying
     the long-cycle condition are candidates only: a finite trace cannot
-    decide divergence by order, so the status is never counterexample-found.
+    decide divergence by order, so this harness never refutes.
     """
-    candidates: list[ConjectureCandidate] = []
-    stats = {"swept": 0, "unknown": 0}
-    saw_unknown = False
-    for g in enumerate_connected_graphs(v_max):
-        stats["swept"] += 1
-        c = classify(g, n, budget)
-        if c.outcome is Outcome.UNKNOWN:
-            saw_unknown = True
-        if not (c.outcome is Outcome.UNKNOWN and c.unknown_reason == "order_cap"):
-            continue
-        orders = [s.order for s in c.trace.steps]
-        if not all(a < b for a, b in zip(orders, orders[1:])):
-            continue
-        confirmed_absent = True
-        for step in c.trace.steps:
-            try:
-                if check_long_cycle(step.graph, n, WorkCounter()) is not None:
-                    confirmed_absent = False
-                    break
-            except ResourceLimitError:
-                confirmed_absent = False
-                break
-        if not confirmed_absent:
-            continue
-        replay = classify(g, n, budget)
-        replay_orders = [s.order for s in replay.trace.steps]
-        candidates.append(
-            ConjectureCandidate(
-                "order grows past the cap with no long-cycle iterate in sight",
-                {"graph": _graph_json(g)},
-                {"orders": orders, "outcome": c.outcome.value},
-                replay.outcome is Outcome.UNKNOWN and replay_orders == orders,
-            )
-        )
-    status = STATUS_INCONCLUSIVE if (candidates or saw_unknown) else STATUS_NO_COUNTEREXAMPLE
-    return ConjectureReport(
-        "divergence-iff-long-cycle", n, v_max, status, candidates, stats
+    stats["swept"] += 1
+    n, budget = clf.n, clf.budget
+    c = classify(g, n, budget)
+    if c.outcome is not Outcome.UNKNOWN:
+        return None
+    stats["unknown"] += 1
+    orders = [s.order for s in c.trace.steps]
+    if c.unknown_reason != "order_cap" or not all(
+        a < b for a, b in zip(orders, orders[1:])
+    ):
+        return _UNDECIDED
+    for step in c.trace.steps:
+        try:
+            if check_long_cycle(step.graph, n, WorkCounter()) is not None:
+                return _UNDECIDED
+        except ResourceLimitError:
+            return _UNDECIDED
+    replay = classify(g, n, budget)
+    return ConjectureCandidate(
+        "order grows past the cap with no long-cycle iterate in sight",
+        {"graph": _graph_json(g)},
+        {"orders": orders, "outcome": c.outcome.value},
+        replay.outcome is Outcome.UNKNOWN
+        and [s.order for s in replay.trace.steps] == orders,
     )
 
 
-def _sweep_noniso_pair(
-    n: int, v_max: int, budget: Budget, cache, jobs: int
-) -> ConjectureReport:
+def _noniso_convergent_pair(g: Graph, clf: Classifier, stats: dict):
     """A connected convergent graph holding two non-isomorphic convergent
-    proper subgraphs contradicts the conjecture outright."""
-    clf = Classifier(n, budget, cache)
-    graphs = list(enumerate_connected_graphs(v_max))
-    _warm_classifier(clf, graphs, jobs)
-    candidates: list[ConjectureCandidate] = []
-    stats = {"swept": 0, "converged": 0, "unknown": 0}
-    saw_unknown = False
-    for g in graphs:
-        stats["swept"] += 1
-        top = clf.summary(g)
-        if top.outcome is Outcome.UNKNOWN:
-            saw_unknown = True
-            stats["unknown"] += 1
-            continue
-        if top.outcome is not Outcome.CONVERGED:
-            continue
-        stats["converged"] += 1
-        converged_subs: list[Graph] = []
-        for sub in proper_subgraphs(g):
-            summ = clf.summary(sub)
-            if summ.outcome is Outcome.UNKNOWN:
-                saw_unknown = True
-            elif summ.outcome is Outcome.CONVERGED:
-                converged_subs.append(sub)
-        if len(converged_subs) >= 2:
-            sub1, sub2 = converged_subs[0], converged_subs[1]
-            replayed = (
-                classify(g, n, budget).outcome is Outcome.CONVERGED
-                and classify(sub1, n, budget).outcome is Outcome.CONVERGED
-                and classify(sub2, n, budget).outcome is Outcome.CONVERGED
-                and not is_isomorphic(sub1, sub2)
-            )
-            candidates.append(
-                ConjectureCandidate(
-                    "convergent graph with two non-isomorphic convergent "
-                    "proper subgraphs",
-                    {
-                        "graph": _graph_json(g),
-                        "subgraph_1": _graph_json(sub1),
-                        "subgraph_2": _graph_json(sub2),
-                    },
-                    {"outcome": top.outcome.value},
-                    replayed,
-                )
-            )
-    if candidates:
-        status = STATUS_COUNTEREXAMPLE
-    elif saw_unknown:
-        status = STATUS_INCONCLUSIVE
-    else:
-        status = STATUS_NO_COUNTEREXAMPLE
-    return ConjectureReport("noniso-convergent-pair", n, v_max, status, candidates, stats)
+    proper subgraphs.  Any nested chain of convergent graphs satisfies this,
+    and the predicate has not been checked against the paper's statement,
+    so its hits are candidates only."""
+    stats["swept"] += 1
+    top = clf.summary(g)
+    if top.outcome is Outcome.UNKNOWN:
+        stats["unknown"] += 1
+        return _UNDECIDED
+    if top.outcome is not Outcome.CONVERGED:
+        return None
+    stats["converged"] += 1
+    converged_subs: list[Graph] = []
+    undecided = False
+    for sub in proper_subgraphs(g):
+        summ = clf.summary(sub)
+        if summ.outcome is Outcome.UNKNOWN:
+            undecided = True
+        elif summ.outcome is Outcome.CONVERGED:
+            converged_subs.append(sub)
+    if len(converged_subs) < 2:
+        return _UNDECIDED if undecided else None
+    n, budget = clf.n, clf.budget
+    sub1, sub2 = converged_subs[0], converged_subs[1]
+    return ConjectureCandidate(
+        "convergent graph with two non-isomorphic convergent proper "
+        "subgraphs (predicate not checked against the paper's statement)",
+        {
+            "graph": _graph_json(g),
+            "subgraph_1": _graph_json(sub1),
+            "subgraph_2": _graph_json(sub2),
+        },
+        {"outcome": top.outcome.value},
+        classify(g, n, budget).outcome is Outcome.CONVERGED
+        and classify(sub1, n, budget).outcome is Outcome.CONVERGED
+        and classify(sub2, n, budget).outcome is Outcome.CONVERGED
+        and not is_isomorphic(sub1, sub2),
+    )
 
 
-def _sweep_minimal_unicyclic(
-    n: int, v_max: int, budget: Budget, cache, jobs: int
-) -> ConjectureReport:
+def _minimal_not_unicyclic(g: Graph, clf: Classifier, stats: dict):
     """Every minimal member should decompose into unicyclic components."""
-    report = find_minimal_members(
-        n, v_max, budget, include_unions=True, cache=cache, jobs=jobs
-    )
-    candidates: list[ConjectureCandidate] = []
-    saw_unknown = any(r.minimal_status == "unknown" for r in report.records)
-    for rec in report.records:
-        if rec.minimal_status != "yes":
-            continue
-        g = Graph(rec.order, [tuple(e) for e in rec.edges])
-        bad = []
-        for comp in components(g):
-            edge_count = sum(1 for e in g.edges() if e[0] in comp)
-            if edge_count != len(comp):
-                bad.append({"vertices": sorted(comp), "edges": edge_count})
-        if bad:
-            replayed = (
-                minimality_decision(g, n, budget).status == "yes"
-            )
-            candidates.append(
-                ConjectureCandidate(
-                    "minimal member with a non-unicyclic component",
-                    {"graph": _graph_json(g)},
-                    {"bad_components": bad},
-                    replayed,
-                )
-            )
-    if candidates:
-        status = STATUS_COUNTEREXAMPLE
-    elif saw_unknown:
-        status = STATUS_INCONCLUSIVE
-    else:
-        status = STATUS_NO_COUNTEREXAMPLE
-    stats = dict(report.counts)
-    return ConjectureReport(
-        "minimal-implies-unicyclic", n, v_max, status, candidates, stats
+    decision = _decide(g, clf, stats)
+    if decision is None or decision.status == "no":
+        return None
+    if decision.status == "unknown":
+        return _UNDECIDED
+    bad = []
+    for comp in components(g):
+        edge_count = sum(1 for e in g.edges() if e[0] in comp)
+        if edge_count != len(comp):
+            bad.append({"vertices": sorted(comp), "edges": edge_count})
+    if not bad:
+        return None
+    return ConjectureCandidate(
+        "minimal member with a non-unicyclic component",
+        {"graph": _graph_json(g)},
+        {"bad_components": bad},
+        minimality_decision(g, clf.n, clf.budget).status == "yes",
     )
 
 
-def _sweep_unique_minimal(
-    n: int, v_max: int, budget: Budget, cache, jobs: int
-) -> ConjectureReport:
+def _not_unique_minimal(g: Graph, clf: Classifier, stats: dict):
     """Each convergent graph that is not a union of two convergent graphs
     should contain exactly one minimal class among its subgraph classes."""
-    clf = Classifier(n, budget, cache)
-    graphs = list(enumerate_connected_graphs(v_max))
-    graphs.extend(enumerate_two_component_unions(v_max))
-    _warm_classifier(clf, graphs, jobs)
-    candidates: list[ConjectureCandidate] = []
-    stats = {"swept": 0, "converged": 0, "checked": 0}
-    saw_unknown = False
-    for g in graphs:
-        stats["swept"] += 1
-        top = clf.summary(g)
-        if top.outcome is Outcome.UNKNOWN:
-            saw_unknown = True
+    stats["swept"] += 1
+    top = clf.summary(g)
+    if top.outcome is Outcome.UNKNOWN:
+        return _UNDECIDED
+    if top.outcome is not Outcome.CONVERGED:
+        return None
+    stats["converged"] += 1
+    comps = components(g)
+    if len(comps) == 2:
+        halves = [clf.summary(induced_subgraph(g, comp)[0]).outcome for comp in comps]
+        if any(o is Outcome.UNKNOWN for o in halves):
+            return _UNDECIDED
+        if all(o is Outcome.CONVERGED for o in halves):
+            return None  # hypothesis of the conjecture excludes this graph
+    stats["checked"] += 1
+    n, budget = clf.n, clf.budget
+    minimal_classes: list[Graph] = []
+    undecided = False
+    for candidate in [g, *proper_subgraphs(g)]:
+        if candidate.order == 0:
             continue
-        if top.outcome is not Outcome.CONVERGED:
-            continue
-        stats["converged"] += 1
-        comps = components(g)
-        if len(comps) == 2:
-            halves = [induced_subgraph(g, comp)[0] for comp in comps]
-            half_outcomes = [clf.summary(h).outcome for h in halves]
-            if any(o is Outcome.UNKNOWN for o in half_outcomes):
-                saw_unknown = True
-                continue
-            if all(o is Outcome.CONVERGED for o in half_outcomes):
-                continue  # hypothesis of the conjecture excludes this graph
-        stats["checked"] += 1
-        minimal_classes: list[Graph] = []
-        undecided = False
-        for candidate in [g, *proper_subgraphs(g)]:
-            if candidate.order == 0:
-                continue
-            decision = minimality_decision(candidate, n, budget, clf)
-            if decision.status == "yes":
-                minimal_classes.append(candidate)
-            elif decision.status == "unknown":
-                undecided = True
-        if undecided:
-            saw_unknown = True
-            continue
-        if len(minimal_classes) != 1:
-            replay_count = sum(
-                1
-                for cand in [g, *proper_subgraphs(g)]
-                if cand.order > 0 and minimality_decision(cand, n, budget).status == "yes"
-            )
-            candidates.append(
-                ConjectureCandidate(
-                    "convergent graph without a unique minimal subgraph class",
-                    {
-                        "graph": _graph_json(g),
-                        **{
-                            f"minimal_{i}": _graph_json(m)
-                            for i, m in enumerate(minimal_classes)
-                        },
-                    },
-                    {"minimal_count": len(minimal_classes)},
-                    replay_count == len(minimal_classes),
-                )
-            )
-    if candidates:
-        status = STATUS_COUNTEREXAMPLE
-    elif saw_unknown:
-        status = STATUS_INCONCLUSIVE
-    else:
-        status = STATUS_NO_COUNTEREXAMPLE
-    return ConjectureReport(
-        "unique-minimal-subgraph", n, v_max, status, candidates, stats
+        decision = minimality_decision(candidate, n, budget, clf)
+        if decision.status == "yes":
+            minimal_classes.append(candidate)
+        elif decision.status == "unknown":
+            undecided = True
+    if undecided:
+        return _UNDECIDED
+    if len(minimal_classes) == 1:
+        return None
+    replay_count = sum(
+        1
+        for cand in [g, *proper_subgraphs(g)]
+        if cand.order > 0 and minimality_decision(cand, n, budget).status == "yes"
     )
+    return ConjectureCandidate(
+        "convergent graph without a unique minimal subgraph class",
+        {
+            "graph": _graph_json(g),
+            **{f"minimal_{i}": _graph_json(m) for i, m in enumerate(minimal_classes)},
+        },
+        {"minimal_count": len(minimal_classes)},
+        replay_count == len(minimal_classes),
+    )
+
+
+@dataclass(frozen=True)
+class _Harness:
+    predicate: Callable[[Graph, Classifier, dict], ConjectureCandidate | str | None]
+    stats: tuple[str, ...]  # report counters, in report order
+    unions: bool = False  # also sweep two-component unions
+    warm: bool = True  # pre-classify every class into the classifier memo
+    refuting: bool = True  # whether a candidate counts as a counterexample
+
+
+_HARNESSES = {
+    # classifies directly: it needs full traces, which the memo does not keep
+    "divergence-iff-long-cycle": _Harness(
+        _divergence_without_long_cycle, ("swept", "unknown"),
+        warm=False, refuting=False,
+    ),
+    "noniso-convergent-pair": _Harness(
+        _noniso_convergent_pair, ("swept", "converged", "unknown"), refuting=False
+    ),
+    "minimal-implies-unicyclic": _Harness(
+        _minimal_not_unicyclic, ("swept", "yes", "no", "unknown"), unions=True
+    ),
+    "unique-minimal-subgraph": _Harness(
+        _not_unique_minimal, ("swept", "converged", "checked"), unions=True
+    ),
+}
+CONJECTURE_IDS = tuple(_HARNESSES)

@@ -5,12 +5,16 @@ when some simple path on n vertices contains both.  Because the shared
 vertex forces the two edges to sit consecutively on any such path, the test
 reduces to finding two vertex-disjoint extensions, one leaving each free
 endpoint, whose orders sum to the remaining vertex count.  That split search
-is exact and far cheaper than whole-path enumeration; the naive enumeration
-survives only as a test oracle.
+is exact and far cheaper than whole-path enumeration, which the acceptance
+criteria and the tests keep as the reference.
+
+The module also holds the one iteration loop: `hl_iterate` and the
+classifier both run it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -170,7 +174,7 @@ class StopReason(str, Enum):
     EMPTY = "empty"
     ORDER_CAP = "order_cap"
     ITER_CAP = "iter_cap"
-    # only produced by the classifier, which cuts iteration short on a hit
+    # only produced by the classifier, whose per-iterate checks cut it short
     CERTIFICATE = "certificate"
 
 
@@ -196,15 +200,15 @@ def _trace_step(k: int, g: Graph) -> TraceStep:
 
 def hl_iterate(
     g: Graph, n: int, max_iter: int, max_order: int,
-    counter: WorkCounter | None = None, canon_cap: int = 24,
+    counter: WorkCounter | None = None,
 ) -> SequenceTrace:
     """Iterate the operator, recording every intermediate graph.
 
     Stops at the first of: the empty graph (EMPTY), isomorphic consecutive
     iterates (FIXED_POINT), an iterate larger than max_order (ORDER_CAP), or
-    max_iter applications (ITER_CAP).  An isomorphism test that exhausts its
-    resources is treated as ORDER_CAP: the iterate grew past what the
-    configured canonicalization effort can compare.
+    max_iter applications (ITER_CAP).  A step or an isomorphism test that
+    exhausts `counter` (or the canonicalization order cap) also stops with
+    ORDER_CAP: the iterate grew past what the configured effort can handle.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -212,56 +216,50 @@ def hl_iterate(
         raise ValueError("max_order must be at least the input order")
     if counter is None:
         counter = WorkCounter()
+    return _iterate(g, n, max_iter, max_order, counter, [])
+
+
+def _iterate(
+    g: Graph, n: int, max_iter: int, max_order: int, counter: WorkCounter,
+    flags: list[str], visit: Callable[[int, Graph], bool] | None = None,
+) -> SequenceTrace:
+    """The iteration loop.  At iterate k, in order: stop on the empty graph
+    (EMPTY); stop with CERTIFICATE when `visit(k, iterate)` is true; stop
+    after max_iter steps (ITER_CAP); step, then stop on a fixed point or an
+    iterate over max_order.  Budget exhaustion in the step or in the
+    isomorphism test stops with ORDER_CAP and appends `step_exhausted@k=..`
+    or `isomorphism_exhausted@k=..` to `flags`.
+    """
     steps = [_trace_step(0, g)]
-    if g.order == 0:
-        return SequenceTrace(n, tuple(steps), StopReason.EMPTY)
+
+    def stop(reason: StopReason) -> SequenceTrace:
+        return SequenceTrace(n, tuple(steps), reason)
+
     cur = g
-    for k in range(1, max_iter + 1):
-        nxt = hl_step(cur, n, counter).graph
-        steps.append(_trace_step(k, nxt))
-        if nxt.order == 0:
-            return SequenceTrace(n, tuple(steps), StopReason.EMPTY)
+    k = 0
+    while True:
+        if cur.order == 0:
+            return stop(StopReason.EMPTY)
+        if visit is not None and visit(k, cur):
+            return stop(StopReason.CERTIFICATE)
+        if k == max_iter:
+            return stop(StopReason.ITER_CAP)
         try:
-            fixed = is_isomorphic(cur, nxt, cap=canon_cap, counter=counter)
+            nxt = hl_step(cur, n, counter).graph
         except ResourceLimitError:
-            return SequenceTrace(n, tuple(steps), StopReason.ORDER_CAP)
+            flags.append(f"step_exhausted@k={k}")
+            return stop(StopReason.ORDER_CAP)
+        steps.append(_trace_step(k + 1, nxt))
+        # an empty step is never isomorphic to cur, which is not empty, so
+        # the loop reaches the EMPTY test above
+        try:
+            fixed = is_isomorphic(cur, nxt, counter=counter)
+        except ResourceLimitError:
+            flags.append(f"isomorphism_exhausted@k={k}")
+            return stop(StopReason.ORDER_CAP)
         if fixed:
-            return SequenceTrace(n, tuple(steps), StopReason.FIXED_POINT)
+            return stop(StopReason.FIXED_POINT)
         if nxt.order > max_order:
-            return SequenceTrace(n, tuple(steps), StopReason.ORDER_CAP)
+            return stop(StopReason.ORDER_CAP)
         cur = nxt
-    return SequenceTrace(n, tuple(steps), StopReason.ITER_CAP)
-
-
-def naive_pn_adjacent(g: Graph, e: Edge, f: Edge, n: int) -> bool:
-    """Whole-path enumeration oracle for pn_adjacent (tests only)."""
-    e = norm_edge(*e)
-    f = norm_edge(*f)
-    for path in iter_simple_paths_of_order(g, n):
-        path_edges = {norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
-        if e in path_edges and f in path_edges:
-            return True
-    return False
-
-
-def iter_simple_paths_of_order(g: Graph, n: int):
-    """Yield every simple path on exactly n vertices, one direction each."""
-    path: list[int] = []
-
-    def extend():
-        if len(path) == n:
-            if path[0] < path[-1]:
-                yield list(path)
-            return
-        for x in g.neighbors(path[-1]):
-            if x not in seen:
-                seen.add(x)
-                path.append(x)
-                yield from extend()
-                path.pop()
-                seen.discard(x)
-
-    for start in range(g.order):
-        seen = {start}
-        path = [start]
-        yield from extend()
+        k += 1

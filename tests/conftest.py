@@ -10,7 +10,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from hline.graph import Graph, norm_edge
+from hline.acceptance import _iter_simple_paths_of_order
+from hline.graph import Edge, Graph, norm_edge
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -23,6 +24,17 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     for perm in permutations(range(g1.order)):
         if all(norm_edge(perm[u], perm[v]) in e2 for u, v in e1):
+            return True
+    return False
+
+
+def naive_pn_adjacent(g: Graph, e: Edge, f: Edge, n: int) -> bool:
+    """Whole-path enumeration oracle for pn_adjacent."""
+    e = norm_edge(*e)
+    f = norm_edge(*f)
+    for path in _iter_simple_paths_of_order(g, n):
+        path_edges = {norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
+        if e in path_edges and f in path_edges:
             return True
     return False
 

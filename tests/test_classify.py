@@ -25,7 +25,7 @@ from hline.families import (
 )
 from hline.graph import Graph, disjoint_union, is_isomorphic
 from hline.minimality import enumerate_connected_graphs
-from hline.operator import StopReason, hl_step
+from hline.operator import StopReason, hl_iterate, hl_step
 
 
 class TestLongCycleCheck:
@@ -147,17 +147,52 @@ class TestClassify:
         assert verify_certificate(make_spider(3, 3, 3), 7, c.certificate)
 
     def test_iteration_cap_yields_unknown(self):
-        c = classify(make_tailed_cycle(2, 4), 6, Budget(max_iter=1))
-        assert c.outcome is Outcome.UNKNOWN and c.unknown_reason == "iter_cap"
+        for max_iter in (0, 1):
+            c = classify(make_tailed_cycle(2, 4), 6, Budget(max_iter=max_iter))
+            assert c.outcome is Outcome.UNKNOWN and c.unknown_reason == "iter_cap"
+            assert len(c.trace.steps) == max_iter + 1
 
     def test_tiny_search_budget_yields_unknown(self):
         c = classify(make_tailed_cycle(2, 4), 6, Budget(search_nodes=10))
         assert c.outcome is Outcome.UNKNOWN
-        assert c.budget_flags
+        # the checks' flags come first, then the step that ran out
+        assert c.budget_flags == (
+            "long_tail_exhausted@k=0",
+            "spider_exhausted@k=0",
+            "twin_tail_exhausted@k=0",
+            "step_exhausted@k=0",
+        )
 
     def test_n_below_four_rejected(self):
         with pytest.raises(ValueError):
             classify(make_cycle(4), 3)
+
+    def test_checks_run_on_the_last_iterate(self):
+        c = classify(make_chorded_cycle(7), 6, Budget(max_iter=0))
+        assert c.outcome is Outcome.DIVERGED_BY_ORDER
+        assert c.certificate.found_at_iteration == 0
+
+    def test_input_above_max_order_still_classifies(self):
+        c = classify(make_cycle(6), 6, Budget(max_order=3))
+        assert c.outcome is Outcome.CONVERGED and c.steps_to_outcome == 0
+
+    def test_isomorphism_exhaustion_is_flagged(self):
+        # C25 is a fixed point, but canonical labeling stops at order 24
+        c = classify(make_cycle(25), 6)
+        assert c.outcome is Outcome.UNKNOWN and c.unknown_reason == "order_cap"
+        assert c.budget_flags == ("isomorphism_exhausted@k=0",)
+        assert len(c.trace.steps) == 2
+
+    def test_trace_matches_hl_iterate_without_certificates(self):
+        compared = 0
+        for g in enumerate_connected_graphs(5):
+            for n in (4, 5):
+                c = classify(g, n)
+                if c.certificate is not None:
+                    continue
+                assert c.trace == hl_iterate(g, n, 30, 512)
+                compared += 1
+        assert compared > 20
 
 
 class TestCertificateSoundness:
@@ -243,8 +278,6 @@ class TestSpiderImageShapes:
             assert is_isomorphic(image, Graph(nxt, edges))
 
     def test_growth_of_chorded_cycles(self):
-        from hline.operator import hl_iterate
-
         for n in (4, 5, 6):
             for m in range(n, n + 4):
                 trace = hl_iterate(make_chorded_cycle(m), n, 3, 1_000_000)

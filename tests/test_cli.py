@@ -71,6 +71,14 @@ def test_strict_budget_exit_code(capsys):
     assert json.loads(out)["outcome"] == "unknown"
 
 
+@pytest.mark.parametrize("spec", ["C30", "G(r=1,m=30)"])
+def test_budget_failure_exit_code(capsys, spec):
+    code, out, err = run(capsys, "classify", spec, "--n", "6")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_hl_prints_provenance(capsys):
     code, out, _ = run(capsys, "hl", "P4", "--n", "4", "--steps", "2")
     assert code == EXIT_OK

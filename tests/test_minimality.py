@@ -1,7 +1,7 @@
 import pytest
 
 from hline.budget import Budget, ResourceLimitError
-from hline.classify import Outcome
+from hline.classify import Outcome, classify
 from hline.families import (
     make_cycle,
     make_path,
@@ -276,13 +276,21 @@ class TestConjectureHarness:
         assert count == 1
 
     def test_candidate_graphs_replay(self):
-        report = run_conjecture("noniso-convergent-pair", 5, 6)
-        for cand in report.candidates:
-            data = cand.graphs["graph"]
-            g = Graph(data["order"], [tuple(e) for e in data["edges"]])
-            from hline.classify import classify
+        report = run_conjecture("noniso-convergent-pair", 5, 7)
+        assert report.status == "inconclusive"
+        assert len(report.candidates) == 1
+        cand = report.candidates[0]
+        assert cand.replayed
+        data = cand.graphs["graph"]
+        g = Graph(data["order"], [tuple(e) for e in data["edges"]])
+        assert classify(g, 5).outcome is Outcome.CONVERGED
 
-            assert classify(g, 5).outcome is Outcome.CONVERGED
+    def test_divergence_sweep_counts_unknown_classifications(self):
+        report = run_conjecture(
+            "divergence-iff-long-cycle", 5, 6, Budget(max_iter=1)
+        )
+        assert report.status == "inconclusive"
+        assert report.stats["unknown"] > 0
 
 
 def test_classifier_memo_consistency():

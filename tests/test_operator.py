@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from hline.acceptance import _iter_simple_paths_of_order
 from hline.budget import WorkCounter, ResourceLimitError
 from hline.families import make_cycle, make_path, make_spider, make_tailed_cycle
 from hline.graph import Graph, components, is_isomorphic, norm_edge
@@ -12,10 +13,10 @@ from hline.operator import (
     edge_in_pn,
     hl_iterate,
     hl_step,
-    iter_simple_paths_of_order,
-    naive_pn_adjacent,
     pn_adjacent,
 )
+
+from conftest import naive_pn_adjacent
 
 
 class TestPnAdjacent:
@@ -83,7 +84,7 @@ class TestEdgeInPn:
             g = Graph(order, edges)
             for n in (4, 5):
                 on_paths = set()
-                for path in iter_simple_paths_of_order(g, n):
+                for path in _iter_simple_paths_of_order(g, n):
                     for i in range(len(path) - 1):
                         on_paths.add(norm_edge(path[i], path[i + 1]))
                 for e in g.edges():
@@ -183,3 +184,9 @@ def test_search_budget_is_enforced():
     g = make_cycle(12)
     with pytest.raises(ResourceLimitError):
         hl_step(g, 12, WorkCounter(5))
+
+
+def test_iterate_stops_with_order_cap_when_a_step_exhausts_its_budget():
+    trace = hl_iterate(make_cycle(12), 12, 30, 512, WorkCounter(5))
+    assert trace.stop_reason is StopReason.ORDER_CAP
+    assert len(trace.steps) == 1
