@@ -1,9 +1,10 @@
 """Persistent, append-only classification cache.
 
 Records are keyed by (canonical code, n) so isomorphic inputs share one
-entry, and carry the tool version plus a budget fingerprint: a record
-written under different budgets or by a different tool version is treated
-as a miss, because outcomes such as "unknown" depend on both.
+entry, and carry the tool version, the algorithm version and a budget
+fingerprint: a record written under different budgets, by a different tool
+version or by a different algorithm version is treated as a miss, because
+outcomes such as "unknown" depend on all three.
 
 Each process appends to its own segment file, so concurrent sweeps never
 contend on writes; segments are merged when the cache is opened, newest
@@ -25,6 +26,11 @@ from .minimality import ClassificationSummary
 
 ENV_CACHE_DIR = "HLINE_CACHE_DIR"
 
+# Bump whenever a change to the searches can change a classification under
+# some budget, such as one that spends fewer search nodes; the tool version,
+# which reports print, need not change with it.
+ALGO_VERSION = 2
+
 
 def default_cache_dir() -> Path:
     env = os.environ.get(ENV_CACHE_DIR)
@@ -41,7 +47,7 @@ def _record_sha(payload: dict) -> str:
 class ClassificationCache:
     def __init__(self, directory: Path | None, version: str, budget: Budget):
         self.directory = Path(directory) if directory else default_cache_dir()
-        self.version = version
+        self.version = [version, ALGO_VERSION]
         self.fingerprint = budget.fingerprint()
         self._records: dict[tuple[str, int], tuple[int, ClassificationSummary]] = {}
         self._segment: Path | None = None

@@ -3,9 +3,11 @@
 Graph arguments accept a family spec ("C6", "G(r=2,m=4)", "F7",
 "CL(3,3,2)", "P4"), an edge list ("6; 0-1, 1-2, ..."), or a graph6 line.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 budget exhausted
-(a search ran out of its work budget or size cap, or unknown outcomes are
-present under --strict).
+Exit codes: 0 success, 1 usage error (including an argument value out of
+range, such as --n 3), 2 parse error (a graph argument that is not a graph),
+3 budget exhausted (a search ran out of its work budget or size cap, or
+under --strict, unknown outcomes are present or a swept class stayed
+undecided).
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def _cmd_conjecture(args) -> int:
     cache = _open_cache(args, budget)
     report = run_conjecture(args.id, args.n, args.vmax, budget, cache, args.jobs)
     _emit(report.to_json())
-    if args.strict and report.status == "inconclusive":
+    if args.strict and report.undecided:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -245,7 +247,7 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_USAGE
 
 
 def main() -> None:

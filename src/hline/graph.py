@@ -42,6 +42,7 @@ class Graph:
             (u, v) for u in range(order) for v in self._adj[u] if u < v
         )
         self._hash = hash((order, self._edges))
+        self._code: bytes | None = None  # set by canonical_code
 
     @property
     def order(self) -> int:
@@ -185,6 +186,25 @@ def _canonical_rows(g: Graph, counter: WorkCounter) -> list[int]:
     within a class every vertex choice is branched over, with prefix pruning
     against the best row vector found so far.  The maximum is the same for
     isomorphic graphs and reconstructs the graph, so it is a canonical form.
+
+    Row i holds one bit per earlier position j, bit i-1-j set when the
+    vertices at positions i and j are adjacent.  Every vertex keeps its
+    adjacency to the placed prefix as one integer, updated at its
+    neighbours when a vertex is placed and undone on backtrack, so a
+    candidate's row is a shift.  A flag records whether the current prefix
+    equals the best one; it turns true again whenever the best changes
+    inside the subtree.
+
+    A leaf whose rows equal the best gives an automorphism gamma, mapping
+    the best leaf's order onto the current one (McKay 1981).  gamma fixes
+    the prefix the two orders share and maps the finished sibling subtree
+    that holds the best leaf onto the current subtree, so the search jumps
+    back to the node where they part.  At a node, a candidate in the same
+    orbit as an already tried one, under the automorphisms found so far
+    that fix the placed prefix pointwise, is skipped.  Both prunings only
+    drop subtrees whose row vectors a finished subtree already holds, so
+    the maximum, and with it the code, is that of the unpruned search.
+    Each node spends one unit of `counter`.
     """
     n = g.order
     colors = _refined_colors(g)
@@ -194,43 +214,94 @@ def _canonical_rows(g: Graph, counter: WorkCounter) -> list[int]:
     pos_class: list[int] = []
     for c in sorted(cells):
         pos_class.extend([c] * len(cells[c]))
-    adj = [set(g.neighbors(v)) for v in range(n)]
+    adj = g._adj
 
-    best: list[int] | None = None
+    # link[w] has bit n-1-j set when the vertex at position j is adjacent to w
+    link = [0] * n
+    best: list[int] = []
+    best_perm: list[int] = []
+    improved = 0  # number of times best has changed
+    autos: list[list[int]] = []
     rows: list[int] = []
     placed: list[int] = []
 
-    def search(i: int) -> None:
-        nonlocal best
+    def search(i: int, eq: bool) -> int:
+        """Explore below the placed prefix of length i; returns the depth
+        whose node resumes its loop, n when no subtree is abandoned."""
+        nonlocal best, best_perm, improved
         counter.spend()
         if i == n:
-            if best is None or rows > best:
-                best = rows.copy()
-            return
+            if not eq:
+                best, best_perm = rows.copy(), placed.copy()
+                improved += 1
+                return n
+            gamma = [0] * n
+            for p in range(n):
+                gamma[best_perm[p]] = placed[p]
+            autos.append(gamma)
+            # gamma fixes the common prefix and maps the finished sibling
+            # subtree that holds the best leaf onto the current one
+            d = 0
+            while placed[d] == best_perm[d]:
+                d += 1
+            return d
         cell = cells[pos_class[i]]
-        scored = []
-        for v in sorted(cell):
-            row = 0
-            for j in range(i):
-                row = (row << 1) | (1 if placed[j] in adj[v] else 0)
-            scored.append((row, v))
-        scored.sort(reverse=True)
+        shift = n - i
+        bit = 1 << (shift - 1)
+        scored = sorted(((link[v] >> shift, v) for v in cell), reverse=True)
+        tried: list[int] = []
+        orbit: dict[int, int] = {}
+        seen_autos = 0
         for row, v in scored:
-            rows.append(row)
-            # best only ever grows, so pruning on the current value is sound
-            if best is not None and rows[: i + 1] < best[: i + 1]:
-                rows.pop()
+            if eq and row < best[i]:
+                break  # candidates come in falling row order
+            if tried and len(autos) > seen_autos:
+                seen_autos = len(autos)
+                fixing = [a for a in autos if all(a[u] == u for u in placed)]
+                orbit = _orbits(cell, fixing)
+            if orbit and orbit[v] in {orbit[u] for u in tried}:
                 continue
+            rows.append(row)
             placed.append(v)
             cell.remove(v)
-            search(i + 1)
+            for w in adj[v]:
+                link[w] |= bit
+            before = improved
+            resume = search(i + 1, eq and row == best[i])
+            for w in adj[v]:
+                link[w] ^= bit
             cell.add(v)
             placed.pop()
             rows.pop()
+            if resume < i:
+                return resume
+            tried.append(v)
+            if improved != before:
+                eq = True
+        return n
 
-    search(0)
-    assert best is not None
+    search(0, False)
+    assert improved
     return best
+
+
+def _orbits(cell: set[int], gens: list[list[int]]) -> dict[int, int]:
+    """Orbit representative of each vertex of `cell` under the group the
+    permutations `gens` generate; each of them maps `cell` onto itself."""
+    parent = {v: v for v in cell}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for gamma in gens:
+        for v in cell:
+            a, b = find(v), find(gamma[v])
+            if a != b:
+                parent[a] = b
+    return {v: find(v) for v in cell}
 
 
 def canonical_code(
@@ -238,12 +309,22 @@ def canonical_code(
 ) -> bytes:
     """Canonical byte code: equal codes exactly for isomorphic graphs.
 
-    Deterministic across runs and platforms.  Raises ResourceLimitError if
-    the order exceeds `cap` or the labeling search exhausts `counter`.
+    The code is the order as 4 big-endian bytes, then the strict lower
+    triangle of the `_canonical_rows` adjacency matrix, row by row, packed
+    MSB-first and zero-padded to a whole byte.  Deterministic across runs
+    and platforms.  Raises ResourceLimitError if the order exceeds `cap`
+    (tested on every call) or the labeling search exhausts `counter`.
+
+    The code is stored on `g` once a search completes, so later calls on
+    the same object return it without searching or spending from `counter`;
+    an exhausted search stores nothing.  Neither the stored code nor the
+    search pruning changes the bytes, whose format the tests pin.
     """
     n = g.order
     if n > cap:
         raise ResourceLimitError(f"order {n} exceeds canonicalization cap {cap}")
+    if g._code is not None:
+        return g._code
     if counter is None:
         counter = WorkCounter(2_000_000)
     rows = _canonical_rows(g, counter)
@@ -260,7 +341,8 @@ def canonical_code(
                 nbits = 0
     if nbits:
         bits.append(acc << (8 - nbits))
-    return n.to_bytes(4, "big") + bytes(bits)
+    g._code = n.to_bytes(4, "big") + bytes(bits)
+    return g._code
 
 
 def is_isomorphic(

@@ -97,11 +97,8 @@ class Classifier:
         self.cache = cache
         self.memo: dict[bytes, ClassificationSummary] = {}
 
-    def code(self, g: Graph) -> bytes:
-        return canonical_code(g)
-
     def summary(self, g: Graph) -> ClassificationSummary:
-        code = self.code(g)
+        code = canonical_code(g)
         hit = self.memo.get(code)
         if hit is not None:
             return hit
@@ -128,7 +125,7 @@ def _warm_classifier(clf: Classifier, graphs: list[Graph], jobs: int) -> None:
     Per-graph classification is independent and pure, so results merge
     deterministically regardless of completion order.
     """
-    todo = [g for g in graphs if clf.code(g) not in clf.memo]
+    todo = [g for g in graphs if canonical_code(g) not in clf.memo]
     if jobs <= 1 or len(todo) < 2:
         for g in todo:
             clf.summary(g)
@@ -196,7 +193,7 @@ def minimality_decision(
     saw_unknown = False
     for sub in proper_subgraphs(g):
         summ = clf.summary(sub)
-        audit.append((clf.code(sub).hex(), summ.outcome.value))
+        audit.append((canonical_code(sub).hex(), summ.outcome.value))
         if summ.outcome is Outcome.CONVERGED:
             return MinimalityResult("no", top, audit, audit[-1][0])
         if summ.outcome is Outcome.UNKNOWN:
@@ -624,7 +621,7 @@ def find_minimal_members(
         decision = _decide(g, clf, counts)
         if decision is None:
             continue
-        code_hex = clf.code(g).hex()
+        code_hex = canonical_code(g).hex()
         status_by_code[code_hex] = decision.status
         if decision.status in ("yes", "unknown"):
             records.append(
@@ -693,6 +690,8 @@ class ConjectureReport:
     status: str
     candidates: list[ConjectureCandidate]
     stats: dict[str, int]
+    # some swept class stayed undecided for want of budget; not in the JSON
+    undecided: bool
 
     def to_json(self) -> dict:
         return {
@@ -743,7 +742,7 @@ def run_conjecture(
         status = STATUS_INCONCLUSIVE
     else:
         status = STATUS_NO_COUNTEREXAMPLE
-    return ConjectureReport(conjecture, n, v_max, status, candidates, stats)
+    return ConjectureReport(conjecture, n, v_max, status, candidates, stats, undecided)
 
 
 def _divergence_without_long_cycle(g: Graph, clf: Classifier, stats: dict):

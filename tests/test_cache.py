@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import hline.cache as cache_module
 from hline.budget import Budget
 from hline.cache import ClassificationCache
 from hline.classify import Outcome
@@ -35,6 +36,15 @@ def test_round_trip_through_disk(tmp_path):
 def test_stale_version_treated_as_miss(tmp_path):
     cache_at(tmp_path, version="0.0.9").put("abcd", 5, SUMMARY)
     assert cache_at(tmp_path, version="0.1.0").get("abcd", 5) is None
+
+
+def test_other_algorithm_version_treated_as_miss(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "ALGO_VERSION", cache_module.ALGO_VERSION - 1)
+    cache_at(tmp_path).put("abcd", 5, SUMMARY)
+    monkeypatch.undo()
+    reopened = cache_at(tmp_path)
+    assert reopened.get("abcd", 5) is None
+    assert reopened.stats()["corrupt_skipped"] == 0
 
 
 def test_different_budget_treated_as_miss(tmp_path):

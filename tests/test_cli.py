@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import hline.cli as cli
+from hline.budget import Budget
 from hline.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_USAGE, run_cli
 
 
@@ -63,6 +65,20 @@ def test_usage_error_exit_code(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "C6", "--n", "3"),
+        ("search-min", "--n", "5", "--vmax", "10", "--no-cache"),
+    ],
+)
+def test_out_of_range_argument_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_strict_budget_exit_code(capsys):
     code, out, _ = run(
         capsys, "classify", "G(r=2,m=4)", "--n", "6", "--max-iter", "1", "--strict"
@@ -77,6 +93,30 @@ def test_budget_failure_exit_code(capsys, spec):
     assert code == EXIT_BUDGET
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_strict_conjecture_passes_non_refuting_candidates(capsys):
+    # inconclusive only because the harness does not refute: no budget ran out
+    code, out, _ = run(
+        capsys, "conjecture", "noniso-convergent-pair", "--n", "5", "--vmax", "7",
+        "--strict", "--no-cache",
+    )
+    report = json.loads(out)
+    assert report["status"] == "inconclusive" and report["candidates"]
+    assert report["stats"]["unknown"] == 0
+    assert code == EXIT_OK
+
+
+def test_strict_conjecture_fails_on_undecided_classes(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_budget", lambda args: Budget(max_iter=1))
+    code, out, _ = run(
+        capsys, "conjecture", "minimal-implies-unicyclic", "--n", "4", "--vmax", "5",
+        "--strict", "--no-cache",
+    )
+    report = json.loads(out)
+    assert report["status"] == "inconclusive" and not report["candidates"]
+    assert report["stats"]["unknown"] > 0
+    assert code == EXIT_BUDGET
 
 
 def test_hl_prints_provenance(capsys):

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
-from hline.budget import ResourceLimitError
+from hline.budget import ResourceLimitError, WorkCounter
 from hline.families import (
     make_chorded_cycle,
     make_cycle,
@@ -22,10 +23,12 @@ from hline.graph import (
     is_cycle_graph,
     is_isomorphic,
     longest_cycle,
+    norm_edge,
     relabeled,
     unique_cycle,
     without_isolated,
 )
+from hline.minimality import enumerate_connected_graphs
 
 from conftest import brute_circumference, brute_girth, brute_isomorphic
 
@@ -34,6 +37,29 @@ def random_graph(rng: random.Random, max_order: int = 8, p: float = 0.4) -> Grap
     n = rng.randint(0, max_order)
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)
+
+
+def matching(k: int) -> Graph:
+    """k disjoint edges, k*K2."""
+    return Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+def circulant(n: int, jumps) -> Graph:
+    return Graph(n, {norm_edge(i, (i + j) % n) for i in range(n) for j in jumps})
+
+
+PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return relabeled(g, perm)
 
 
 class TestGraphValue:
@@ -92,6 +118,72 @@ class TestCanonicalCode:
     def test_order_cap_raises(self):
         with pytest.raises(ResourceLimitError):
             canonical_code(make_path(30), cap=24)
+
+    def test_code_format_is_pinned(self):
+        # SHA-256 over the codes of the 996 connected classes of order <= 7,
+        # in enumeration order; any change to the code bytes breaks it
+        digest = hashlib.sha256()
+        for g in enumerate_connected_graphs(7):
+            digest.update(canonical_code(g))
+        assert digest.hexdigest() == (
+            "e76de4efbba65a5c4bb489cc52bf9c2b62d1949b3f322142151d93d62e0b70c3"
+        )
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_perfect_matchings_label_under_the_default_counter(self, k):
+        g = matching(k)
+        assert canonical_code(g) == canonical_code(shuffled(g, random.Random(k)))
+
+    def test_automorphisms_prune_the_matching_search(self):
+        # raises ResourceLimitError past 1,000 nodes
+        canonical_code(matching(6), counter=WorkCounter(1_000))
+
+    def test_second_call_returns_the_stored_code_for_free(self):
+        g = Graph(PETERSEN.order, PETERSEN.edges())  # a fresh, uncoded object
+        first = canonical_code(g)
+        counter = WorkCounter(0)
+        assert canonical_code(g, counter=counter) is first
+        assert counter.remaining == 0
+
+    def test_exhausted_search_stores_nothing(self):
+        g = make_cycle(12)
+        with pytest.raises(ResourceLimitError):
+            canonical_code(g, counter=WorkCounter(3))
+        with pytest.raises(ResourceLimitError):
+            canonical_code(g, counter=WorkCounter(3))
+        assert canonical_code(g) == canonical_code(make_cycle(12))
+
+    def test_cap_is_tested_before_the_stored_code(self):
+        g = make_cycle(12)
+        canonical_code(g)
+        with pytest.raises(ResourceLimitError):
+            canonical_code(g, cap=11)
+
+    def test_agrees_with_networkx_on_structured_graphs(self):
+        nx = pytest.importorskip("networkx")
+        families = (
+            [make_cycle(m) for m in (8, 12, 16, 20, 24)]
+            + [matching(k) for k in (4, 6, 8, 10, 12)]
+            + [disjoint_union(make_cycle(6), make_cycle(6)), make_cycle(12)]
+            + [circulant(12, (1, 5)), circulant(12, (1, 2)), circulant(12, (1, 3))]
+            + [circulant(24, (1, 5)), circulant(24, (1, 7)), circulant(24, (1, 11))]
+            + [circulant(13, (1, 5)), circulant(13, (1, 2)), circulant(10, (1, 3))]
+            + [make_tailed_cycle(r, m) for r, m in ((2, 8), (3, 7), (5, 5), (4, 6))]
+            + [make_tailed_cycle(12, 12), PETERSEN]
+        )
+        rng = random.Random(2024)
+        copies = [shuffled(g, rng) for g in families for _ in range(2)]
+
+        def to_nx(g: Graph):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.order))
+            h.add_edges_from(g.edges())
+            return h
+
+        for a, b in combinations(copies, 2):
+            if a.order == b.order and a.size == b.size:
+                same = canonical_code(a) == canonical_code(b)
+                assert same == nx.is_isomorphic(to_nx(a), to_nx(b))
 
 
 class TestIsomorphism:
