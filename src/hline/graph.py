@@ -43,6 +43,7 @@ class Graph:
         )
         self._hash = hash((order, self._edges))
         self._code: bytes | None = None  # set by canonical_code
+        self._automorphisms: list[list[int]] = []  # set with _code
 
     @property
     def order(self) -> int:
@@ -79,7 +80,7 @@ class Graph:
         return self._hash
 
     def __reduce__(self):
-        return (Graph, (self._order, self._edges))
+        return (Graph, (self._order, self._edges), {"_code": self._code})
 
     def __repr__(self) -> str:
         return f"Graph(order={self._order}, edges={list(self._edges)})"
@@ -179,8 +180,11 @@ def _refined_colors(g: Graph) -> list[int]:
         colors = new
 
 
-def _canonical_rows(g: Graph, counter: WorkCounter) -> list[int]:
-    """Lexicographically greatest adjacency rows over color-respecting orders.
+def _canonical_rows(
+    g: Graph, counter: WorkCounter
+) -> tuple[list[int], list[list[int]]]:
+    """Lexicographically greatest adjacency rows over color-respecting orders,
+    with the automorphisms the search found on the way.
 
     Positions are blocked by refined color class (classes in color order);
     within a class every vertex choice is branched over, with prefix pruning
@@ -205,6 +209,10 @@ def _canonical_rows(g: Graph, counter: WorkCounter) -> list[int]:
     drop subtrees whose row vectors a finished subtree already holds, so
     the maximum, and with it the code, is that of the unpruned search.
     Each node spends one unit of `counter`.
+
+    Returns the rows and the automorphisms found, each as a list mapping
+    vertex v to gamma[v].  They are a subset of the automorphism group,
+    not necessarily generators of all of it.
     """
     n = g.order
     colors = _refined_colors(g)
@@ -282,7 +290,7 @@ def _canonical_rows(g: Graph, counter: WorkCounter) -> list[int]:
 
     search(0, False)
     assert improved
-    return best
+    return best, autos
 
 
 def _orbits(cell: set[int], gens: list[list[int]]) -> dict[int, int]:
@@ -317,8 +325,11 @@ def canonical_code(
 
     The code is stored on `g` once a search completes, so later calls on
     the same object return it without searching or spending from `counter`;
-    an exhausted search stores nothing.  Neither the stored code nor the
-    search pruning changes the bytes, whose format the tests pin.
+    an exhausted search stores nothing.  The automorphisms that search
+    found are stored beside it as `g._automorphisms`, which
+    `enumerate_connected_graphs` uses to skip isomorphic children; a copy
+    made by pickling keeps the code but not them.  Neither the stored code
+    nor the search pruning changes the bytes, whose format the tests pin.
     """
     n = g.order
     if n > cap:
@@ -327,7 +338,7 @@ def canonical_code(
         return g._code
     if counter is None:
         counter = WorkCounter(2_000_000)
-    rows = _canonical_rows(g, counter)
+    rows, autos = _canonical_rows(g, counter)
     bits = bytearray()
     acc = 0
     nbits = 0
@@ -342,6 +353,7 @@ def canonical_code(
     if nbits:
         bits.append(acc << (8 - nbits))
     g._code = n.to_bytes(4, "big") + bytes(bits)
+    g._automorphisms = autos
     return g._code
 
 

@@ -220,6 +220,16 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     subset (a spanning tree's leaf is never a cut vertex), so extending every
     parent by every subset and rejecting duplicates by canonical code is
     exhaustive.  Deterministic order: by order, then canonical code.
+
+    Orbit pruning: an anchor subset S of a parent is skipped, unbuilt and
+    unlabeled, when an automorphism gamma that labeling stored on the
+    parent (`Graph._automorphisms`) maps it to a set that sorts before it.
+    The child of gamma(S) is isomorphic to the child of S, has the same
+    size, and comes earlier from the same `combinations` loop, so its code
+    is already in the level when S comes up (by induction, also when
+    gamma(S) was itself skipped), and only the first child per code is
+    kept.  Representatives, their order and their codes are those
+    of the unpruned extension; fewer stored automorphisms only skip less.
     """
     if v_max < 1:
         return
@@ -237,8 +247,14 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
             if free < 1:
                 continue
             anchors = list(range(v - 1))
+            autos = parent._automorphisms
             for k in range(1, min(free, v - 1) + 1):
                 for subset in combinations(anchors, k):
+                    if any(
+                        tuple(sorted(gamma[a] for a in subset)) < subset
+                        for gamma in autos
+                    ):
+                        continue
                     child = Graph(
                         v, list(parent.edges()) + [(a, v - 1) for a in subset]
                     )

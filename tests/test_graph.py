@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from itertools import combinations
 
@@ -152,6 +153,30 @@ class TestCanonicalCode:
         with pytest.raises(ResourceLimitError):
             canonical_code(g, counter=WorkCounter(3))
         assert canonical_code(g) == canonical_code(make_cycle(12))
+
+    def test_stored_automorphisms_preserve_edges(self):
+        rng = random.Random(7)
+        found = 0
+        for g in [PETERSEN, matching(5), make_cycle(9), circulant(12, (1, 5))] + [
+            random_graph(rng) for _ in range(200)
+        ]:
+            g = shuffled(g, rng)
+            canonical_code(g)
+            edges = set(g.edges())
+            for gamma in g._automorphisms:
+                assert sorted(gamma) == list(range(g.order))
+                assert {norm_edge(gamma[u], gamma[v]) for u, v in edges} == edges
+            found += len(g._automorphisms)
+        assert found
+
+    def test_pickled_copy_keeps_the_stored_code(self):
+        g = Graph(PETERSEN.order, PETERSEN.edges())
+        code = canonical_code(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy._code == code
+        assert canonical_code(copy, counter=WorkCounter(0)) == code
+        unlabeled = pickle.loads(pickle.dumps(make_cycle(5)))
+        assert unlabeled._code is None
 
     def test_cap_is_tested_before_the_stored_code(self):
         g = make_cycle(12)

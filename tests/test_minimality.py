@@ -1,5 +1,10 @@
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
+from hline import minimality
 from hline.budget import Budget, ResourceLimitError
 from hline.classify import Outcome, classify
 from hline.families import (
@@ -130,6 +135,58 @@ class TestEnumeration:
                 if g.order == order
             }
             assert mine == brute
+
+    def test_matches_networkx_atlas_up_to_7(self):
+        nx = pytest.importorskip("networkx")
+        atlas = {
+            canonical_code(Graph(h.number_of_nodes(), h.edges()))
+            for h in nx.graph_atlas_g()
+            if h.number_of_nodes() and nx.is_connected(h)
+        }
+        mine = [canonical_code(g) for g in enumerate_connected_graphs(7)]
+        assert set(mine) == atlas and len(mine) == len(atlas)
+        per_order = Counter(int.from_bytes(code[:4], "big") for code in mine)
+        # OEIS A001349
+        assert [per_order[v] for v in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+    # SHA-256 over the representatives, in enumeration order; computed
+    # before orbit pruning, which must not change them
+    @pytest.mark.parametrize(
+        "generate, args, count, digest",
+        [
+            (
+                enumerate_connected_graphs, (7,), 996,
+                "33f509bf1a337d323b087c448d6cf030b13f909e829cd6ebf937a9cb912fdfcf",
+            ),
+            (
+                enumerate_connected_graphs, (7, 8), 200,
+                "fdc39caa1f96eb9c2a8da24aec49bbfdc5877af89f77dad3d6ef1bb331cae67b",
+            ),
+            (
+                enumerate_two_component_unions, (8,), 220,
+                "b688b0327fb9ca82448b58b84bebae000d2bb76450cdeb20a89eafdeab28c145",
+            ),
+        ],
+        ids=["connected-7", "connected-7-8", "unions-8"],
+    )
+    def test_representatives_are_pinned(self, generate, args, count, digest):
+        graphs = list(generate(*args))
+        assert len(graphs) == count
+        blob = json.dumps([[g.order, [list(e) for e in g.edges()]] for g in graphs])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    def test_orbit_pruning_skips_isomorphic_children(self, monkeypatch):
+        calls = 0
+
+        def counting(g, **kwargs):
+            nonlocal calls
+            calls += 1
+            return canonical_code(g, **kwargs)
+
+        monkeypatch.setattr(minimality, "canonical_code", counting)
+        assert sum(1 for _ in enumerate_connected_graphs(7)) == 996
+        # 7,816 children are labeled without the pruning
+        assert calls <= 5_000
 
     def test_edge_bound_respected(self):
         for g in enumerate_connected_graphs(6, 6):
