@@ -14,7 +14,6 @@ from dataclasses import dataclass
 DEFAULT_SEARCH_NODES = 10_000_000
 DEFAULT_MAX_ITER = 30
 DEFAULT_MAX_ORDER = 512
-DEFAULT_CANON_CAP = 24
 
 
 class ResourceLimitError(RuntimeError):

@@ -5,9 +5,8 @@ Graph arguments accept a family spec ("C6", "G(r=2,m=4)", "F7",
 
 Exit codes: 0 success, 1 usage error (including an argument value out of
 range, such as --n 3), 2 parse error (a graph argument that is not a graph),
-3 budget exhausted (a search ran out of its work budget or size cap, or
-under --strict, unknown outcomes are present or a swept class stayed
-undecided).
+3 budget exhausted (a search ran out of its work budget, or under
+--strict, unknown outcomes are present or a swept class stayed undecided).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .budget import DEFAULT_CANON_CAP, ResourceLimitError, WorkCounter
+from .budget import ResourceLimitError, WorkCounter
 
 Edge = tuple[int, int]
 
@@ -312,16 +312,14 @@ def _orbits(cell: set[int], gens: list[list[int]]) -> dict[int, int]:
     return {v: find(v) for v in cell}
 
 
-def canonical_code(
-    g: Graph, *, cap: int = DEFAULT_CANON_CAP, counter: WorkCounter | None = None
-) -> bytes:
+def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
     """Canonical byte code: equal codes exactly for isomorphic graphs.
 
     The code is the order as 4 big-endian bytes, then the strict lower
     triangle of the `_canonical_rows` adjacency matrix, row by row, packed
     MSB-first and zero-padded to a whole byte.  Deterministic across runs
-    and platforms.  Raises ResourceLimitError if the order exceeds `cap`
-    (tested on every call) or the labeling search exhausts `counter`.
+    and platforms.  Raises ResourceLimitError if the labeling search
+    exhausts `counter`.
 
     The code is stored on `g` once a search completes, so later calls on
     the same object return it without searching or spending from `counter`;
@@ -331,11 +329,9 @@ def canonical_code(
     made by pickling keeps the code but not them.  Neither the stored code
     nor the search pruning changes the bytes, whose format the tests pin.
     """
-    n = g.order
-    if n > cap:
-        raise ResourceLimitError(f"order {n} exceeds canonicalization cap {cap}")
     if g._code is not None:
         return g._code
+    n = g.order
     if counter is None:
         counter = WorkCounter(2_000_000)
     rows, autos = _canonical_rows(g, counter)
@@ -357,10 +353,7 @@ def canonical_code(
     return g._code
 
 
-def is_isomorphic(
-    g1: Graph, g2: Graph, *, cap: int = DEFAULT_CANON_CAP,
-    counter: WorkCounter | None = None,
-) -> bool:
+def is_isomorphic(g1: Graph, g2: Graph, *, counter: WorkCounter | None = None) -> bool:
     """Exact isomorphism test; agrees with canonical_code equality."""
     if g1.order != g2.order or g1.size != g2.size:
         return False
@@ -368,9 +361,7 @@ def is_isomorphic(
         g2.degree(v) for v in range(g2.order)
     ):
         return False
-    return canonical_code(g1, cap=cap, counter=counter) == canonical_code(
-        g2, cap=cap, counter=counter
-    )
+    return canonical_code(g1, counter=counter) == canonical_code(g2, counter=counter)
 
 
 # ---------------------------------------------------------------------------

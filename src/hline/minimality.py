@@ -3,10 +3,18 @@ checks, and conjecture falsification harnesses.
 
 A graph is minimally convergent (for a given n) when its own sequence
 converges but the sequence of every proper subgraph terminates or diverges.
-The decision procedure quantifies over isomorphism classes of subgraphs,
-realized as nonempty edge deletions with isolated vertices stripped; that
-subsumes vertex deletions because convergence is isomorphism-invariant and
-insensitive to isolated vertices.
+Subgraphs are taken up to isomorphism with isolated vertices stripped;
+that covers vertex deletions, because convergence is isomorphism-invariant
+and insensitive to isolated vertices.
+
+Lemma: if H is a subgraph of G, every n-vertex path of H is one of G, so
+HL(H) is a subgraph of HL(G) and, by induction, HL^k(H) of HL^k(G) for
+every k.  Every subgraph of a terminating graph terminates, and no
+subgraph of a convergent graph diverges.  So a convergent G is minimal
+exactly when no one-edge deletion G - e converges, and every convergent
+subgraph of G lies below a chain of one-edge deletions that do not
+terminate.  The decisions walk those deletions (`proper_subgraphs`,
+`_walk`) and never scan edge subsets.
 
 The conjecture harnesses only ever gather bounded evidence: they report
 candidates with replayable transcripts and never assert the truth or
@@ -39,7 +47,6 @@ from .graph import (
 from .operator import edge_in_pn, hl_step
 
 ENUMERATION_CAP = 9
-SUBGRAPH_EDGE_CAP = 20
 
 
 # ---------------------------------------------------------------------------
@@ -144,29 +151,51 @@ def _warm_classifier(clf: Classifier, graphs: list[Graph], jobs: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def proper_subgraphs(g: Graph, max_size: int = SUBGRAPH_EDGE_CAP):
-    """Stream one representative per isomorphism class of proper subgraph.
+def proper_subgraphs(g: Graph):
+    """Stream one representative per isomorphism class of g - e, isolated
+    vertices stripped, in the order of g's edges.
 
-    Realized as nonempty edge deletions with isolated vertices stripped;
-    includes the empty graph, never g itself.  Larger subgraphs come first.
+    The one-edge deletions of a single edge give the empty graph.  Repeated,
+    they reach every proper subgraph class of g (see `_walk`).
     """
-    if g.size > max_size:
-        raise ResourceLimitError(
-            f"subgraph enumeration over {g.size} edges exceeds cap {max_size}"
-        )
     edges = g.edges()
     seen: set[bytes] = set()
-    for k in range(1, len(edges) + 1):
-        for dropped in combinations(range(len(edges)), k):
-            drop = set(dropped)
-            kept = [e for i, e in enumerate(edges) if i not in drop]
-            touched = sorted({v for e in kept for v in e})
-            idx = {v: i for i, v in enumerate(touched)}
-            sub = Graph(len(touched), [(idx[u], idx[v]) for u, v in kept])
-            code = canonical_code(sub)
-            if code not in seen:
+    for i in range(len(edges)):
+        kept = edges[:i] + edges[i + 1:]
+        touched = sorted({v for e in kept for v in e})
+        idx = {v: j for j, v in enumerate(touched)}
+        sub = Graph(len(touched), [(idx[u], idx[v]) for u, v in kept])
+        code = canonical_code(sub)
+        if code not in seen:
+            seen.add(code)
+            yield sub
+
+
+def _walk(
+    g: Graph, clf: Classifier, expand: Callable[[ClassificationSummary], bool]
+):
+    """Breadth-first walk down the one-edge deletions of g.
+
+    Yields (representative, summary) once per proper subgraph class it
+    reaches, deduplicated by code; only the classes whose summary satisfies
+    `expand` have their own deletions walked.  With every class expanded,
+    it reaches every proper subgraph class of g.
+    """
+    seen = {canonical_code(g)}
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for parent in frontier:
+            for sub in proper_subgraphs(parent):
+                code = canonical_code(sub)
+                if code in seen:
+                    continue
                 seen.add(code)
-                yield sub
+                summ = clf.summary(sub)
+                yield sub, summ
+                if expand(summ):
+                    nxt.append(sub)
+        frontier = nxt
 
 
 @dataclass
@@ -180,7 +209,13 @@ class MinimalityResult:
 def minimality_decision(
     g: Graph, n: int, budget: Budget = Budget(), classifier: Classifier | None = None
 ) -> MinimalityResult:
-    """Full minimal-convergence decision with the proper-subgraph audit."""
+    """Minimal-convergence decision with the audit of the classes visited.
+
+    By the lemma in the module docstring, a convergent g needs a look only
+    at its one-edge deletions and, below them, at `unknown` classes.  The
+    first convergent class blocks; failing that, an `unknown` class leaves
+    the decision `unknown`.
+    """
     if any(g.degree(v) == 0 for v in range(g.order)):
         raise ValueError("minimality is decided on graphs without isolated vertices")
     clf = classifier if classifier is not None else Classifier(n, budget)
@@ -191,8 +226,7 @@ def minimality_decision(
         return MinimalityResult("no", top)
     audit: list[tuple[str, str]] = []
     saw_unknown = False
-    for sub in proper_subgraphs(g):
-        summ = clf.summary(sub)
+    for sub, summ in _walk(g, clf, lambda s: s.outcome is Outcome.UNKNOWN):
         audit.append((canonical_code(sub).hex(), summ.outcome.value))
         if summ.outcome is Outcome.CONVERGED:
             return MinimalityResult("no", top, audit, audit[-1][0])
@@ -793,47 +827,6 @@ def _divergence_without_long_cycle(g: Graph, clf: Classifier, stats: dict):
     )
 
 
-def _noniso_convergent_pair(g: Graph, clf: Classifier, stats: dict):
-    """A connected convergent graph holding two non-isomorphic convergent
-    proper subgraphs.  Any nested chain of convergent graphs satisfies this,
-    and the predicate has not been checked against the paper's statement,
-    so its hits are candidates only."""
-    stats["swept"] += 1
-    top = clf.summary(g)
-    if top.outcome is Outcome.UNKNOWN:
-        stats["unknown"] += 1
-        return _UNDECIDED
-    if top.outcome is not Outcome.CONVERGED:
-        return None
-    stats["converged"] += 1
-    converged_subs: list[Graph] = []
-    undecided = False
-    for sub in proper_subgraphs(g):
-        summ = clf.summary(sub)
-        if summ.outcome is Outcome.UNKNOWN:
-            undecided = True
-        elif summ.outcome is Outcome.CONVERGED:
-            converged_subs.append(sub)
-    if len(converged_subs) < 2:
-        return _UNDECIDED if undecided else None
-    n, budget = clf.n, clf.budget
-    sub1, sub2 = converged_subs[0], converged_subs[1]
-    return ConjectureCandidate(
-        "convergent graph with two non-isomorphic convergent proper "
-        "subgraphs (predicate not checked against the paper's statement)",
-        {
-            "graph": _graph_json(g),
-            "subgraph_1": _graph_json(sub1),
-            "subgraph_2": _graph_json(sub2),
-        },
-        {"outcome": top.outcome.value},
-        classify(g, n, budget).outcome is Outcome.CONVERGED
-        and classify(sub1, n, budget).outcome is Outcome.CONVERGED
-        and classify(sub2, n, budget).outcome is Outcome.CONVERGED
-        and not is_isomorphic(sub1, sub2),
-    )
-
-
 def _minimal_not_unicyclic(g: Graph, clf: Classifier, stats: dict):
     """Every minimal member should decompose into unicyclic components."""
     decision = _decide(g, clf, stats)
@@ -874,26 +867,12 @@ def _not_unique_minimal(g: Graph, clf: Classifier, stats: dict):
         if all(o is Outcome.CONVERGED for o in halves):
             return None  # hypothesis of the conjecture excludes this graph
     stats["checked"] += 1
-    n, budget = clf.n, clf.budget
-    minimal_classes: list[Graph] = []
-    undecided = False
-    for candidate in [g, *proper_subgraphs(g)]:
-        if candidate.order == 0:
-            continue
-        decision = minimality_decision(candidate, n, budget, clf)
-        if decision.status == "yes":
-            minimal_classes.append(candidate)
-        elif decision.status == "unknown":
-            undecided = True
+    minimal_classes, undecided = _minimal_classes(g, clf)
     if undecided:
         return _UNDECIDED
     if len(minimal_classes) == 1:
         return None
-    replay_count = sum(
-        1
-        for cand in [g, *proper_subgraphs(g)]
-        if cand.order > 0 and minimality_decision(cand, n, budget).status == "yes"
-    )
+    replay, _ = _minimal_classes(g, Classifier(clf.n, clf.budget))
     return ConjectureCandidate(
         "convergent graph without a unique minimal subgraph class",
         {
@@ -901,8 +880,26 @@ def _not_unique_minimal(g: Graph, clf: Classifier, stats: dict):
             **{f"minimal_{i}": _graph_json(m) for i, m in enumerate(minimal_classes)},
         },
         {"minimal_count": len(minimal_classes)},
-        replay_count == len(minimal_classes),
+        [canonical_code(m) for m in replay]
+        == [canonical_code(m) for m in minimal_classes],
     )
+
+
+def _minimal_classes(g: Graph, clf: Classifier) -> tuple[list[Graph], bool]:
+    """The minimal classes among g and its proper subgraph classes, in walk
+    order, and whether a decision among them stayed `unknown`.
+
+    A terminating class is never minimal, and by the lemma in the module
+    docstring neither is any class below it, so the walk expands every
+    class but the terminating ones and decides the rest.
+    """
+    live = [g] + [
+        sub
+        for sub, summ in _walk(g, clf, lambda s: s.outcome is not Outcome.TERMINATED)
+        if summ.outcome is not Outcome.TERMINATED
+    ]
+    statuses = [minimality_decision(c, clf.n, clf.budget, clf).status for c in live]
+    return [c for c, s in zip(live, statuses) if s == "yes"], "unknown" in statuses
 
 
 @dataclass(frozen=True)
@@ -919,9 +916,6 @@ _HARNESSES = {
     "divergence-iff-long-cycle": _Harness(
         _divergence_without_long_cycle, ("swept", "unknown"),
         warm=False, refuting=False,
-    ),
-    "noniso-convergent-pair": _Harness(
-        _noniso_convergent_pair, ("swept", "converged", "unknown"), refuting=False
     ),
     "minimal-implies-unicyclic": _Harness(
         _minimal_not_unicyclic, ("swept", "yes", "no", "unknown"), unions=True

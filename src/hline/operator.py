@@ -207,8 +207,8 @@ def hl_iterate(
     Stops at the first of: the empty graph (EMPTY), isomorphic consecutive
     iterates (FIXED_POINT), an iterate larger than max_order (ORDER_CAP), or
     max_iter applications (ITER_CAP).  A step or an isomorphism test that
-    exhausts `counter` (or the canonicalization order cap) also stops with
-    ORDER_CAP: the iterate grew past what the configured effort can handle.
+    exhausts `counter` also stops with ORDER_CAP: the iterate grew past what
+    the configured effort can handle.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

@@ -10,8 +10,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+from hline import cli, minimality
 from hline.acceptance import _iter_simple_paths_of_order
-from hline.graph import Edge, Graph, norm_edge
+from hline.classify import Outcome
+from hline.graph import Edge, Graph, canonical_code, norm_edge
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -88,3 +90,76 @@ def graph_classes_up_to_6():
             if code not in classes:
                 classes[code] = g
     return classes
+
+
+def naive_proper_subgraphs(g: Graph):
+    """One representative per isomorphism class of proper subgraph, from a
+    scan of every nonempty set of deleted edges, isolated vertices stripped;
+    includes the empty graph, never g itself.  Larger subgraphs come first."""
+    edges = g.edges()
+    seen: set[bytes] = set()
+    for k in range(1, len(edges) + 1):
+        for dropped in combinations(range(len(edges)), k):
+            drop = set(dropped)
+            kept = [e for i, e in enumerate(edges) if i not in drop]
+            touched = sorted({v for e in kept for v in e})
+            idx = {v: i for i, v in enumerate(touched)}
+            sub = Graph(len(touched), [(idx[u], idx[v]) for u, v in kept])
+            code = canonical_code(sub)
+            if code not in seen:
+                seen.add(code)
+                yield sub
+
+
+def naive_minimality(g: Graph, clf) -> tuple[str, str | None]:
+    """(status, blocker code hex) of the minimality decision by the
+    definition: g converges and no proper subgraph class converges."""
+    top = clf.summary(g).outcome
+    if top is Outcome.UNKNOWN:
+        return "unknown", None
+    if top is not Outcome.CONVERGED:
+        return "no", None
+    saw_unknown = False
+    for sub in naive_proper_subgraphs(g):
+        outcome = clf.summary(sub).outcome
+        if outcome is Outcome.CONVERGED:
+            return "no", canonical_code(sub).hex()
+        saw_unknown |= outcome is Outcome.UNKNOWN
+    return ("unknown" if saw_unknown else "yes"), None
+
+
+def naive_minimal_classes(g: Graph, clf) -> set[bytes]:
+    """Codes of the minimal classes among g and all its subgraph classes."""
+    return {
+        canonical_code(c)
+        for c in [g, *naive_proper_subgraphs(g)]
+        if c.order and naive_minimality(c, clf)[0] == "yes"
+    }
+
+
+@pytest.fixture
+def non_refuting_harness(monkeypatch):
+    """Register the conjecture id `convergent-classes`, whose non-refuting
+    predicate returns every convergent class as a candidate; returns the id."""
+
+    def predicate(g: Graph, clf, stats: dict):
+        stats["swept"] += 1
+        if clf.summary(g).outcome is not Outcome.CONVERGED:
+            return None
+        stats["converged"] += 1
+        replay = minimality.classify(g, clf.n, clf.budget).outcome
+        return minimality.ConjectureCandidate(
+            "convergent class",
+            {"graph": {"order": g.order, "edges": [list(e) for e in g.edges()]}},
+            {},
+            replay is Outcome.CONVERGED,
+        )
+
+    name = "convergent-classes"
+    ids = (*minimality.CONJECTURE_IDS, name)
+    stats = ("swept", "converged", "unknown")
+    harness = minimality._Harness(predicate, stats, refuting=False)
+    monkeypatch.setitem(minimality._HARNESSES, name, harness)
+    monkeypatch.setattr(minimality, "CONJECTURE_IDS", ids)
+    monkeypatch.setattr(cli, "CONJECTURE_IDS", ids)
+    return name

@@ -87,18 +87,24 @@ def test_strict_budget_exit_code(capsys):
     assert json.loads(out)["outcome"] == "unknown"
 
 
-@pytest.mark.parametrize("spec", ["C30", "G(r=1,m=30)"])
-def test_budget_failure_exit_code(capsys, spec):
+@pytest.mark.parametrize(
+    "spec, outcome",
+    [("C30", "converged"), ("G(r=1,m=30)", "diverged_by_order")],
+    ids=["C30", "G(r=1,m=30)"],
+)
+def test_inputs_above_order_24_print_a_report(capsys, spec, outcome):
     code, out, err = run(capsys, "classify", spec, "--n", "6")
-    assert code == EXIT_BUDGET
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert code == EXIT_OK and err == ""
+    report = json.loads(out)
+    assert report["outcome"] == outcome
+    if outcome == "diverged_by_order":
+        assert report["certificate"]["kind"] == "long_cycle"
 
 
-def test_strict_conjecture_passes_non_refuting_candidates(capsys):
+def test_strict_conjecture_passes_non_refuting_candidates(capsys, non_refuting_harness):
     # inconclusive only because the harness does not refute: no budget ran out
     code, out, _ = run(
-        capsys, "conjecture", "noniso-convergent-pair", "--n", "5", "--vmax", "7",
+        capsys, "conjecture", non_refuting_harness, "--n", "5", "--vmax", "7",
         "--strict", "--no-cache",
     )
     report = json.loads(out)

@@ -30,6 +30,7 @@ from hline.graph import (
     without_isolated,
 )
 from hline.minimality import enumerate_connected_graphs
+from hline.operator import hl_step
 
 from conftest import brute_circumference, brute_girth, brute_isomorphic
 
@@ -61,6 +62,19 @@ def shuffled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.order))
     rng.shuffle(perm)
     return relabeled(g, perm)
+
+
+def switched(g: Graph) -> Graph:
+    """g with its first switchable edge pair ab, cd replaced by ad, cb: the
+    degree sequence stays, the class usually changes."""
+    edges = set(g.edges())
+    for (a, b), (c, d) in combinations(sorted(edges), 2):
+        if len({a, b, c, d}) < 4:
+            continue
+        new = {norm_edge(a, d), norm_edge(c, b)}
+        if not new & edges:
+            return Graph(g.order, (edges - {(a, b), (c, d)}) | new)
+    raise ValueError("no switchable edge pair")
 
 
 class TestGraphValue:
@@ -115,10 +129,6 @@ class TestCanonicalCode:
             perm = list(range(g.order))
             rng.shuffle(perm)
             assert canonical_code(g) == canonical_code(relabeled(g, perm))
-
-    def test_order_cap_raises(self):
-        with pytest.raises(ResourceLimitError):
-            canonical_code(make_path(30), cap=24)
 
     def test_code_format_is_pinned(self):
         # SHA-256 over the codes of the 996 connected classes of order <= 7,
@@ -178,14 +188,11 @@ class TestCanonicalCode:
         unlabeled = pickle.loads(pickle.dumps(make_cycle(5)))
         assert unlabeled._code is None
 
-    def test_cap_is_tested_before_the_stored_code(self):
-        g = make_cycle(12)
-        canonical_code(g)
-        with pytest.raises(ResourceLimitError):
-            canonical_code(g, cap=11)
-
     def test_agrees_with_networkx_on_structured_graphs(self):
         nx = pytest.importorskip("networkx")
+        f7_iterate = make_chorded_cycle(7)
+        for _ in range(4):
+            f7_iterate = hl_step(f7_iterate, 6).graph  # order 66
         families = (
             [make_cycle(m) for m in (8, 12, 16, 20, 24)]
             + [matching(k) for k in (4, 6, 8, 10, 12)]
@@ -195,6 +202,14 @@ class TestCanonicalCode:
             + [circulant(13, (1, 5)), circulant(13, (1, 2)), circulant(10, (1, 3))]
             + [make_tailed_cycle(r, m) for r, m in ((2, 8), (3, 7), (5, 5), (4, 6))]
             + [make_tailed_cycle(12, 12), PETERSEN]
+            # above order 24, where labeling once stopped
+            + [make_cycle(25), make_tailed_cycle(1, 24), make_cycle(400)]
+            + [make_cycle(40), disjoint_union(make_cycle(20), make_cycle(20))]
+            + [matching(13), disjoint_union(matching(11), Graph(4, [(0, 1), (1, 2)]))]
+            + [circulant(30, (1, 15))]  # 3-regular on 30 vertices, as is 3 * PETERSEN
+            + [disjoint_union(PETERSEN, disjoint_union(PETERSEN, PETERSEN))]
+            + [circulant(30, (1, 7)), circulant(30, (1, 11)), circulant(30, (1, 13))]
+            + [f7_iterate, switched(f7_iterate)]
         )
         rng = random.Random(2024)
         copies = [shuffled(g, rng) for g in families for _ in range(2)]
@@ -209,7 +224,6 @@ class TestCanonicalCode:
             if a.order == b.order and a.size == b.size:
                 same = canonical_code(a) == canonical_code(b)
                 assert same == nx.is_isomorphic(to_nx(a), to_nx(b))
-
 
 class TestIsomorphism:
     def test_reversed_path(self):

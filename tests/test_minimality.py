@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from hline import minimality
-from hline.budget import Budget, ResourceLimitError
+from hline.budget import Budget
 from hline.classify import Outcome, classify
 from hline.families import (
     make_cycle,
@@ -36,12 +36,30 @@ from hline.minimality import (
 )
 from hline.operator import hl_step
 
-from conftest import all_labeled_graphs
+from conftest import (
+    all_labeled_graphs,
+    naive_minimal_classes,
+    naive_minimality,
+    naive_proper_subgraphs,
+)
+
+
+def deletion_closure(g: Graph, clf: Classifier) -> set[bytes]:
+    """Codes of every class the walk reaches from g when it expands all."""
+    return {canonical_code(sub) for sub, _ in minimality._walk(g, clf, lambda s: True)}
+
+
+@pytest.fixture(scope="module")
+def classes_up_to_7():
+    """Every class a sweep decides at order <= 7, unions included."""
+    graphs = list(enumerate_connected_graphs(7)) + list(enumerate_two_component_unions(7))
+    return [g for g in graphs if g.order > 1]
 
 
 class TestProperSubgraphs:
     def test_square(self):
         subs = list(proper_subgraphs(make_cycle(4)))
+        assert [canonical_code(s) for s in subs] == [canonical_code(make_path(4))]
         expected = {
             canonical_code(g)
             for g in (
@@ -52,33 +70,43 @@ class TestProperSubgraphs:
                 Graph(0),
             )
         }
-        assert {canonical_code(s) for s in subs} == expected
+        assert deletion_closure(make_cycle(4), Classifier(4, Budget())) == expected
 
     def test_single_edge(self):
         subs = list(proper_subgraphs(make_path(2)))
         assert len(subs) == 1 and subs[0] == Graph(0)
 
     def test_claw(self):
-        subs = list(proper_subgraphs(make_spider(1, 1, 1)))
-        nonempty = {canonical_code(s) for s in subs if s.order}
+        claw = make_spider(1, 1, 1)
+        subs = list(proper_subgraphs(claw))
+        assert [canonical_code(s) for s in subs] == [canonical_code(make_path(3))]
+        closure = deletion_closure(claw, Classifier(4, Budget()))
+        nonempty = closure - {canonical_code(Graph(0))}
         assert nonempty == {canonical_code(make_path(2)), canonical_code(make_path(3))}
+
+    def test_one_representative_per_deletion_class_in_edge_order(self):
+        # edges 0-1, 0-3, 0-4, 1-2, 2-3, 4-5; deleting 0-3 or 2-3 repeats a class
+        subs = list(proper_subgraphs(make_tailed_cycle(2, 4)))
+        assert [canonical_code(s) for s in subs] == [
+            canonical_code(h)
+            for h in (
+                make_path(6),
+                disjoint_union(make_cycle(4), make_path(2)),
+                make_spider(1, 2, 2),
+                make_tailed_cycle(1, 4),
+            )
+        ]
 
     def test_never_yields_the_graph_itself(self):
         g = make_tailed_cycle(1, 3)
         assert canonical_code(g) not in {canonical_code(s) for s in proper_subgraphs(g)}
 
     def test_closed_under_taking_subgraphs(self):
-        for g in enumerate_connected_graphs(5):
-            if g.size == 0:
-                continue
-            closure = {canonical_code(s) for s in proper_subgraphs(g)}
-            for sub in proper_subgraphs(g):
-                for deeper in proper_subgraphs(sub):
-                    assert canonical_code(deeper) in closure
-
-    def test_edge_cap(self):
-        with pytest.raises(ResourceLimitError):
-            next(proper_subgraphs(make_cycle(9), max_size=5))
+        # one-edge deletions, repeated, reach every proper subgraph class
+        clf = Classifier(4, Budget())
+        for g in enumerate_connected_graphs(6):
+            oracle = {canonical_code(s) for s in naive_proper_subgraphs(g)}
+            assert deletion_closure(g, clf) == oracle
 
 
 class TestMinimalityDecision:
@@ -102,15 +130,59 @@ class TestMinimalityDecision:
             minimality_decision(disjoint_union(make_cycle(4), Graph(1)), 4)
 
     def test_yes_audit_covers_every_subgraph_class(self):
+        # a yes needs only the one-edge deletion classes, and all terminate
         g = make_tailed_cycle(1, 3)
         result = minimality_decision(g, 4)
         assert result.status == "yes"
-        assert len(result.audit) == sum(1 for _ in proper_subgraphs(g))
-        assert all(out in ("terminated", "diverged_by_order") for _, out in result.audit)
+        assert [code for code, _ in result.audit] == [
+            canonical_code(s).hex() for s in proper_subgraphs(g)
+        ]
+        assert all(out == "terminated" for _, out in result.audit)
+
+    @pytest.mark.parametrize("m", [21, 25, 30])
+    def test_long_cycles_are_minimal(self, m):
+        result = minimality_decision(make_cycle(m), 6)
+        assert result.status == "yes"
+        assert result.audit == [(canonical_code(make_path(m)).hex(), "terminated")]
 
     def test_unknown_propagates(self):
         result = minimality_decision(make_tailed_cycle(1, 4), 5, Budget(max_iter=1))
         assert result.status == "unknown"
+
+    def test_walk_continues_below_unknown_classes(self):
+        # P4 and everything below it but the empty graph need two steps
+        result = minimality_decision(make_cycle(4), 4, Budget(max_iter=1))
+        assert result.status == "unknown"
+        below = [make_path(4), make_path(3), disjoint_union(make_path(2), make_path(2)),
+                 make_path(2), Graph(0)]
+        assert result.audit == [
+            (canonical_code(h).hex(), "terminated" if h.order == 0 else "unknown")
+            for h in below
+        ]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+class TestAgainstExhaustiveScan:
+    def test_same_status_and_blocker(self, n, classes_up_to_7):
+        clf = Classifier(n, Budget())
+        statuses = Counter()
+        for g in classes_up_to_7:
+            result = minimality_decision(g, n, classifier=clf)
+            assert (result.status, result.blocker_code_hex) == naive_minimality(g, clf)
+            statuses[result.status] += 1
+        assert statuses["yes"] and statuses["no"]
+
+    def test_same_minimal_classes(self, n, classes_up_to_7):
+        clf = Classifier(n, Budget())
+        checked = 0
+        for g in classes_up_to_7:
+            if clf.summary(g).outcome is not Outcome.CONVERGED:
+                continue
+            minimal, undecided = minimality._minimal_classes(g, clf)
+            assert not undecided
+            assert {canonical_code(m) for m in minimal} == naive_minimal_classes(g, clf)
+            checked += 1
+        assert checked
 
 
 class TestEnumeration:
@@ -290,11 +362,14 @@ class TestFindMinimalMembers:
         assert canonical_code(make_spider(1, 1, 1)).hex() not in codes
 
     def test_yes_records_carry_full_audit(self):
+        # the audit of a yes record lists its one-edge deletion classes
         report = find_minimal_members(5, 5)
         for rec in report.records:
             if rec.minimal_status == "yes":
                 g = Graph(rec.order, [tuple(e) for e in rec.edges])
-                assert len(rec.audit) == sum(1 for _ in proper_subgraphs(g))
+                assert [code for code, _ in rec.audit] == [
+                    canonical_code(s).hex() for s in proper_subgraphs(g)
+                ]
 
     def test_parallel_matches_sequential(self):
         seq = find_minimal_members(4, 5)
@@ -323,24 +398,28 @@ class TestConjectureHarness:
             assert all(c.replayed for c in report.candidates)
 
     def test_square_has_exactly_one_minimal_subgraph_class(self):
-        count = 0
-        g = make_cycle(4)
-        for candidate in [g, *proper_subgraphs(g)]:
-            if candidate.order == 0:
-                continue
-            if minimality_decision(candidate, 4).status == "yes":
-                count += 1
-        assert count == 1
+        minimal, undecided = minimality._minimal_classes(
+            make_cycle(4), Classifier(4, Budget())
+        )
+        assert not undecided
+        assert [canonical_code(m) for m in minimal] == [canonical_code(make_cycle(4))]
 
-    def test_candidate_graphs_replay(self):
-        report = run_conjecture("noniso-convergent-pair", 5, 7)
+    def test_candidate_graphs_replay(self, non_refuting_harness):
+        report = run_conjecture(non_refuting_harness, 5, 7)
         assert report.status == "inconclusive"
-        assert len(report.candidates) == 1
-        cand = report.candidates[0]
-        assert cand.replayed
-        data = cand.graphs["graph"]
-        g = Graph(data["order"], [tuple(e) for e in data["edges"]])
-        assert classify(g, 5).outcome is Outcome.CONVERGED
+        assert len(report.candidates) == report.stats["converged"] > 0
+        for cand in report.candidates:
+            assert cand.replayed
+            data = cand.graphs["graph"]
+            g = Graph(data["order"], [tuple(e) for e in data["edges"]])
+            assert classify(g, 5).outcome is Outcome.CONVERGED
+
+    def test_three_conjecture_ids(self):
+        assert CONJECTURE_IDS == (
+            "divergence-iff-long-cycle",
+            "minimal-implies-unicyclic",
+            "unique-minimal-subgraph",
+        )
 
     def test_divergence_sweep_counts_unknown_classifications(self):
         report = run_conjecture(
