@@ -29,7 +29,7 @@ ENV_CACHE_DIR = "HLINE_CACHE_DIR"
 # Bump whenever a change to the searches can change a classification under
 # some budget, such as one that spends fewer search nodes; the tool version,
 # which reports print, need not change with it.
-ALGO_VERSION = 3
+ALGO_VERSION = 4
 
 
 def default_cache_dir() -> Path:

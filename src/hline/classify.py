@@ -78,7 +78,8 @@ class Classification:
     steps_to_outcome: int | None  # N for converged/terminated
     limit: Graph | None
     certificate: Certificate | None
-    unknown_reason: str | None  # "order_cap" | "iter_cap"
+    # "order_cap" | "iter_cap" | "step_exhausted" | "canon_exhausted"
+    unknown_reason: str | None
     trace: SequenceTrace
     budget_flags: tuple[str, ...] = field(default_factory=tuple)
 

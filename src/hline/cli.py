@@ -4,9 +4,10 @@ Graph arguments accept a family spec ("C6", "G(r=2,m=4)", "F7",
 "CL(3,3,2)", "P4"), an edge list ("6; 0-1, 1-2, ..."), or a graph6 line.
 
 Exit codes: 0 success, 1 usage error (including an argument value out of
-range, such as --n 3), 2 parse error (a graph argument that is not a graph),
-3 budget exhausted (a search ran out of its work budget, or under
---strict, unknown outcomes are present or a swept class stayed undecided).
+range, such as --n 3 or the family spec C2), 2 parse error (a graph
+argument that is not a graph), 3 budget exhausted (a search ran out of its
+work budget, or under --strict, unknown outcomes are present or a swept
+class stayed undecided).
 """
 
 from __future__ import annotations
@@ -48,12 +49,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def resolve_graph(text: str) -> Graph:
-    """Family spec first, then the two textual graph formats."""
+    """Family spec first, then the two textual graph formats.
+
+    A spec that names a family but is out of its range (C2, P0) raises the
+    constructor's ValueError; it is not read again as a graph."""
     try:
-        return parse_family_spec(text).build()
+        spec = parse_family_spec(text)
     except ValueError:
-        pass
-    return parse_graph(text)
+        return parse_graph(text)
+    return spec.build()
 
 
 def _budget(args) -> Budget:

@@ -67,10 +67,6 @@ class Graph:
         a, b = norm_edge(u, v)
         return b in self._adj[a]
 
-    def adjacency_sets(self) -> list[set[int]]:
-        """Fresh mutable adjacency sets (for search scratch space)."""
-        return [set(nbrs) for nbrs in self._adj]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -86,14 +82,6 @@ class Graph:
         return f"Graph(order={self._order}, edges={list(self._edges)})"
 
 
-EMPTY_GRAPH = Graph(0)
-
-
-def relabeled(g: Graph, perm) -> Graph:
-    """Apply a permutation (old id -> new id) to vertex labels."""
-    return Graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """Induced subgraph on a vertex subset, compacted to dense ids.
 
@@ -105,18 +93,6 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     keep = set(old_ids)
     edges = [(idx[u], idx[v]) for u, v in g.edges() if u in keep and v in keep]
     return Graph(len(old_ids), edges), old_ids
-
-
-def delete_edges(g: Graph, edges) -> Graph:
-    drop = {norm_edge(u, v) for u, v in edges}
-    return Graph(g.order, [e for e in g.edges() if e not in drop])
-
-
-def without_isolated(g: Graph) -> Graph:
-    """Drop isolated vertices and compact ids, preserving numeric order."""
-    touched = sorted({v for e in g.edges() for v in e})
-    sub, _ = induced_subgraph(g, touched)
-    return sub
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

@@ -50,6 +50,7 @@ def parse_edge_list(text: str) -> Graph:
     if count < 0:
         raise GraphParseError("vertex count must be nonnegative", column=1)
     raw_edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     offset = len(head) + 1
     pos = 0
     tail_stripped = tail.strip()
@@ -64,8 +65,9 @@ def parse_edge_list(text: str) -> Graph:
             if u == v:
                 raise GraphParseError(f"self-loop at vertex {u}", column=col)
             e = norm_edge(u, v)
-            if e in raw_edges:
+            if e in seen:
                 raise GraphParseError(f"duplicate edge {u}-{v}", column=col)
+            seen.add(e)
             raw_edges.append(e)
     ids = sorted({v for e in raw_edges for v in e})
     if len(ids) > count:

@@ -59,38 +59,26 @@ class ClassificationSummary:
     outcome: Outcome
     steps_to_outcome: int | None
     certificate_kind: str | None
-    limit_code_hex: str | None
 
     def to_json(self) -> dict:
         return {
             "outcome": self.outcome.value,
             "steps_to_outcome": self.steps_to_outcome,
             "certificate_kind": self.certificate_kind,
-            "limit_code_hex": self.limit_code_hex,
         }
 
     @staticmethod
     def from_json(data: dict) -> "ClassificationSummary":
         return ClassificationSummary(
-            Outcome(data["outcome"]),
-            data["steps_to_outcome"],
-            data["certificate_kind"],
-            data["limit_code_hex"],
+            Outcome(data["outcome"]), data["steps_to_outcome"], data["certificate_kind"]
         )
 
 
 def summarize(c: Classification) -> ClassificationSummary:
-    limit_hex = None
-    if c.limit is not None:
-        try:
-            limit_hex = canonical_code(c.limit).hex()
-        except ResourceLimitError:
-            limit_hex = None
     return ClassificationSummary(
         c.outcome,
         c.steps_to_outcome,
         c.certificate.kind.value if c.certificate else None,
-        limit_hex,
     )
 
 
@@ -119,31 +107,6 @@ class Classifier:
         if self.cache is not None:
             self.cache.put(code.hex(), self.n, summ)
         return summ
-
-
-def _summary_worker(args) -> tuple[bytes, ClassificationSummary]:
-    g, n, budget = args
-    return canonical_code(g), summarize(classify(g, n, budget))
-
-
-def _warm_classifier(clf: Classifier, graphs: list[Graph], jobs: int) -> None:
-    """Pre-classify a batch, optionally across a worker pool.
-
-    Per-graph classification is independent and pure, so results merge
-    deterministically regardless of completion order.
-    """
-    todo = [g for g in graphs if canonical_code(g) not in clf.memo]
-    if jobs <= 1 or len(todo) < 2:
-        for g in todo:
-            clf.summary(g)
-        return
-    with multiprocessing.Pool(jobs) as pool:
-        for code, summ in pool.imap_unordered(
-            _summary_worker, [(g, clf.n, clf.budget) for g in todo], chunksize=8
-        ):
-            clf.memo.setdefault(code, summ)
-            if clf.cache is not None:
-                clf.cache.put(code.hex(), clf.n, summ)
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +305,10 @@ def arm_decomposition(g: Graph) -> ArmDecomposition | None:
     if cycle is None:
         return None
     on_cycle = set(cycle)
-    rest = [v for v in range(g.order) if v not in on_cycle]
-    unseen = set(rest)
-    arms: list[frozenset[int]] = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        unseen.discard(start)
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in unseen:
-                    unseen.discard(w)
-                    comp.add(w)
-                    stack.append(w)
-        arms.append(frozenset(comp))
-    arms.sort(key=min)
+    # compaction preserves vertex order, so the arms stay ordered by minimum
+    off_cycle = [v for v in range(g.order) if v not in on_cycle]
+    rest, old_ids = induced_subgraph(g, off_cycle)
+    arms = [frozenset(old_ids[v] for v in comp) for comp in components(rest)]
     roots = []
     for arm in arms:
         attached = {w for v in arm for w in g.neighbors(v) if w in on_cycle}
@@ -370,17 +320,6 @@ def arm_decomposition(g: Graph) -> ArmDecomposition | None:
 # ---------------------------------------------------------------------------
 # Structural property suite
 # ---------------------------------------------------------------------------
-
-PROPERTY_CHECKS = (
-    "every_edge_on_full_path",
-    "maximal_path_ends_pendant",
-    "component_count_preserved",
-    "circumference_nondecreasing",
-    "image_not_tree",
-    "arm_edges_off_cycles",
-    "root_star_no_long_cycle",
-    "unicyclic_preserved",
-)
 
 
 @dataclass(frozen=True)
@@ -418,6 +357,17 @@ def _iter_simple_paths_min_order(g: Graph, min_order: int):
         path = [start]
         used = {start}
         yield from dfs()
+
+
+def _non_unicyclic_components(g: Graph) -> list[tuple[frozenset[int], int]]:
+    """The components of g whose edge count differs from their vertex
+    count, each with its edge count."""
+    out = []
+    for comp in components(g):
+        edge_count = sum(1 for e in g.edges() if e[0] in comp)
+        if edge_count != len(comp):
+            out.append((comp, edge_count))
+    return out
 
 
 def _vertex_on_cycle(g: Graph, x: int) -> bool:
@@ -459,8 +409,9 @@ def property_suite(
         cls = decision.classification
     converged = cls.outcome is Outcome.CONVERGED
     uni_connected = g.order > 0 and g.size == g.order and is_connected(g)
-    every_edge_on_path = all(edge_in_pn(g, e, n) for e in g.edges())
+    missing = [e for e in g.edges() if not edge_in_pn(g, e, n)]
     hl = hl_step(g, n)
+    image_circumference = circumference(hl.graph) if uni_connected else None
 
     def skip(name: str, why: str) -> None:
         results[name] = CheckResult("skip", why)
@@ -470,7 +421,6 @@ def property_suite(
 
     # (a) minimally convergent => every edge lies on an n-vertex path
     if lam == "yes":
-        missing = [e for e in g.edges() if not edge_in_pn(g, e, n)]
         verdict("every_edge_on_full_path", not missing, f"missing={missing}")
     else:
         skip("every_edge_on_full_path", f"minimality={lam}")
@@ -506,15 +456,15 @@ def property_suite(
 
     # (d) unicyclic with every edge on an n-vertex path => circumference
     #     does not drop
-    if uni_connected and every_edge_on_path:
-        cg, ch = circumference(g), circumference(hl.graph)
+    if uni_connected and not missing:
+        cg, ch = circumference(g), image_circumference
         verdict("circumference_nondecreasing", ch >= cg, f"{cg} -> {ch}")
     else:
         skip("circumference_nondecreasing", "hypothesis not met")
 
     # (e) unicyclic and minimally convergent => the image has a cycle
     if uni_connected and lam == "yes":
-        verdict("image_not_tree", circumference(hl.graph) > 0)
+        verdict("image_not_tree", image_circumference > 0)
     elif uni_connected and lam == "unknown":
         skip("image_not_tree", "minimality unknown")
     else:
@@ -547,16 +497,9 @@ def property_suite(
 
     # (h) minimally convergent, unicyclic components, image girth above 4
     #     => image components stay unicyclic
-    comps_unicyclic = g.order > 0 and all(
-        len([e for e in g.edges() if e[0] in comp]) == len(comp)
-        for comp in components(g)
-    )
+    comps_unicyclic = g.order > 0 and not _non_unicyclic_components(g)
     if lam == "yes" and comps_unicyclic and girth(hl.graph) > 4:
-        bad_comps = []
-        for comp in components(hl.graph):
-            edge_count = sum(1 for e in hl.graph.edges() if e[0] in comp)
-            if edge_count != len(comp):
-                bad_comps.append(sorted(comp))
+        bad_comps = [sorted(comp) for comp, _ in _non_unicyclic_components(hl.graph)]
         verdict("unicyclic_preserved", not bad_comps, f"components={bad_comps[:2]}")
     else:
         skip("unicyclic_preserved", "hypothesis not met")
@@ -621,15 +564,41 @@ def _graph_json(g: Graph) -> dict:
     return {"order": g.order, "edges": [list(e) for e in g.edges()]}
 
 
-def _sweep_graphs(
-    v_max: int, e_max: int | None = None, unions: bool = False
-) -> list[Graph]:
-    """The classes a sweep visits: connected graphs, then optionally the
-    disjoint unions of two connected graphs."""
+def _summary_worker(args) -> tuple[bytes, ClassificationSummary]:
+    g, n, budget = args
+    return canonical_code(g), summarize(classify(g, n, budget))
+
+
+def _sweep(
+    n: int,
+    v_max: int,
+    budget: Budget,
+    cache,
+    jobs: int,
+    e_max: int | None = None,
+    unions: bool = False,
+) -> tuple[Classifier, list[Graph]]:
+    """The classifier and the classes a sweep visits: connected graphs, then
+    optionally the disjoint unions of two connected graphs.
+
+    With jobs > 1, a worker pool classifies every class into the memo
+    first.  Per-graph classification is independent and pure, so results
+    merge deterministically regardless of completion order.  With one job
+    the sweep classifies each class when it first asks for it.
+    """
+    clf = Classifier(n, budget, cache)
     graphs = list(enumerate_connected_graphs(v_max, e_max))
     if unions:
         graphs.extend(enumerate_two_component_unions(v_max, e_max))
-    return graphs
+    if jobs > 1 and len(graphs) > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            for code, summ in pool.imap_unordered(
+                _summary_worker, [(g, n, budget) for g in graphs], chunksize=8
+            ):
+                clf.memo[code] = summ
+                if cache is not None:
+                    cache.put(code.hex(), n, summ)
+    return clf, graphs
 
 
 def _decide(
@@ -660,10 +629,7 @@ def find_minimal_members(
     Expected as minimal: every tailed cycle of total order n (when its order
     fits the sweep) and every cycle of length n..v_max.
     """
-    clf = Classifier(n, budget, cache)
-    candidates = _sweep_graphs(v_max, e_max, include_unions)
-    _warm_classifier(clf, candidates, jobs)
-
+    clf, candidates = _sweep(n, v_max, budget, cache, jobs, e_max, include_unions)
     records: list[MinimalityRecord] = []
     counts = {"swept": 0, "yes": 0, "no": 0, "unknown": 0}
     status_by_code: dict[str, str] = {}
@@ -773,10 +739,7 @@ def run_conjecture(
     if conjecture not in CONJECTURE_IDS:
         raise ValueError(f"unknown conjecture id {conjecture!r}")
     harness = _HARNESSES[conjecture]
-    clf = Classifier(n, budget, cache)
-    graphs = _sweep_graphs(v_max, unions=harness.unions)
-    if harness.warm:
-        _warm_classifier(clf, graphs, jobs)
+    clf, graphs = _sweep(n, v_max, budget, cache, jobs, unions=harness.unions)
     stats = dict.fromkeys(harness.stats, 0)
     candidates: list[ConjectureCandidate] = []
     undecided = False
@@ -801,11 +764,12 @@ def _divergence_without_long_cycle(g: Graph, clf: Classifier, stats: dict):
     decide divergence by order, so this harness never refutes.
     """
     stats["swept"] += 1
-    n, budget = clf.n, clf.budget
-    c = classify(g, n, budget)
-    if c.outcome is not Outcome.UNKNOWN:
+    if clf.summary(g).outcome is not Outcome.UNKNOWN:
         return None
     stats["unknown"] += 1
+    # the summary keeps no trace, so the unknown classes are classified again
+    n, budget = clf.n, clf.budget
+    c = classify(g, n, budget)
     orders = [s.order for s in c.trace.steps]
     if c.unknown_reason != "order_cap" or not all(
         a < b for a, b in zip(orders, orders[1:])
@@ -834,11 +798,10 @@ def _minimal_not_unicyclic(g: Graph, clf: Classifier, stats: dict):
         return None
     if decision.status == "unknown":
         return _UNDECIDED
-    bad = []
-    for comp in components(g):
-        edge_count = sum(1 for e in g.edges() if e[0] in comp)
-        if edge_count != len(comp):
-            bad.append({"vertices": sorted(comp), "edges": edge_count})
+    bad = [
+        {"vertices": sorted(comp), "edges": edge_count}
+        for comp, edge_count in _non_unicyclic_components(g)
+    ]
     if not bad:
         return None
     return ConjectureCandidate(
@@ -907,15 +870,12 @@ class _Harness:
     predicate: Callable[[Graph, Classifier, dict], ConjectureCandidate | str | None]
     stats: tuple[str, ...]  # report counters, in report order
     unions: bool = False  # also sweep two-component unions
-    warm: bool = True  # pre-classify every class into the classifier memo
     refuting: bool = True  # whether a candidate counts as a counterexample
 
 
 _HARNESSES = {
-    # classifies directly: it needs full traces, which the memo does not keep
     "divergence-iff-long-cycle": _Harness(
-        _divergence_without_long_cycle, ("swept", "unknown"),
-        warm=False, refuting=False,
+        _divergence_without_long_cycle, ("swept", "unknown"), refuting=False
     ),
     "minimal-implies-unicyclic": _Harness(
         _minimal_not_unicyclic, ("swept", "yes", "no", "unknown"), unions=True

@@ -174,6 +174,8 @@ class StopReason(str, Enum):
     EMPTY = "empty"
     ORDER_CAP = "order_cap"
     ITER_CAP = "iter_cap"
+    STEP_EXHAUSTED = "step_exhausted"
+    CANON_EXHAUSTED = "canon_exhausted"
     # only produced by the classifier, whose per-iterate checks cut it short
     CERTIFICATE = "certificate"
 
@@ -205,10 +207,10 @@ def hl_iterate(
     """Iterate the operator, recording every intermediate graph.
 
     Stops at the first of: the empty graph (EMPTY), isomorphic consecutive
-    iterates (FIXED_POINT), an iterate larger than max_order (ORDER_CAP), or
-    max_iter applications (ITER_CAP).  A step or an isomorphism test that
-    exhausts `counter` also stops with ORDER_CAP: the iterate grew past what
-    the configured effort can handle.
+    iterates (FIXED_POINT), an iterate larger than max_order (ORDER_CAP),
+    max_iter applications (ITER_CAP), a step that exhausts `counter`
+    (STEP_EXHAUSTED), or an isomorphism test that exhausts it
+    (CANON_EXHAUSTED).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -226,9 +228,10 @@ def _iterate(
     """The iteration loop.  At iterate k, in order: stop on the empty graph
     (EMPTY); stop with CERTIFICATE when `visit(k, iterate)` is true; stop
     after max_iter steps (ITER_CAP); step, then stop on a fixed point or an
-    iterate over max_order.  Budget exhaustion in the step or in the
-    isomorphism test stops with ORDER_CAP and appends `step_exhausted@k=..`
-    or `isomorphism_exhausted@k=..` to `flags`.
+    iterate over max_order.  Budget exhaustion in the step stops with
+    STEP_EXHAUSTED, in the isomorphism test with CANON_EXHAUSTED; each
+    appends `step_exhausted@k=..` or `isomorphism_exhausted@k=..` to
+    `flags`.
     """
     steps = [_trace_step(0, g)]
 
@@ -248,7 +251,7 @@ def _iterate(
             nxt = hl_step(cur, n, counter).graph
         except ResourceLimitError:
             flags.append(f"step_exhausted@k={k}")
-            return stop(StopReason.ORDER_CAP)
+            return stop(StopReason.STEP_EXHAUSTED)
         steps.append(_trace_step(k + 1, nxt))
         # an empty step is never isomorphic to cur, which is not empty, so
         # the loop reaches the EMPTY test above
@@ -256,7 +259,7 @@ def _iterate(
             fixed = is_isomorphic(cur, nxt, counter=counter)
         except ResourceLimitError:
             flags.append(f"isomorphism_exhausted@k={k}")
-            return stop(StopReason.ORDER_CAP)
+            return stop(StopReason.CANON_EXHAUSTED)
         if fixed:
             return stop(StopReason.FIXED_POINT)
         if nxt.order > max_order:

@@ -7,8 +7,8 @@ from hline.cache import ClassificationCache
 from hline.classify import Outcome
 from hline.minimality import ClassificationSummary
 
-SUMMARY = ClassificationSummary(Outcome.CONVERGED, 2, None, "00000004cc")
-OTHER = ClassificationSummary(Outcome.TERMINATED, 3, None, None)
+SUMMARY = ClassificationSummary(Outcome.CONVERGED, 2, None)
+OTHER = ClassificationSummary(Outcome.TERMINATED, 3, None)
 
 
 def cache_at(tmp_path, version="0.1.0", budget=Budget()):

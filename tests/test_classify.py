@@ -154,7 +154,7 @@ class TestClassify:
 
     def test_tiny_search_budget_yields_unknown(self):
         c = classify(make_tailed_cycle(2, 4), 6, Budget(search_nodes=10))
-        assert c.outcome is Outcome.UNKNOWN
+        assert c.outcome is Outcome.UNKNOWN and c.unknown_reason == "step_exhausted"
         # the checks' flags come first, then the step that ran out
         assert c.budget_flags == (
             "long_tail_exhausted@k=0",
@@ -179,7 +179,7 @@ class TestClassify:
     def test_isomorphism_exhaustion_is_flagged(self):
         # C25 is a fixed point; the step fits the budget, its labeling does not
         c = classify(make_cycle(25), 6, Budget(search_nodes=450))
-        assert c.outcome is Outcome.UNKNOWN and c.unknown_reason == "order_cap"
+        assert c.outcome is Outcome.UNKNOWN and c.unknown_reason == "canon_exhausted"
         assert c.budget_flags == ("isomorphism_exhausted@k=0",)
         assert len(c.trace.steps) == 2
 

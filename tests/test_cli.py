@@ -79,6 +79,23 @@ def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("C2", "cycle needs m >= 3, got 2"),
+        ("G(r=0,m=4)", "tailed cycle needs r >= 1, got r=0"),
+        ("CL(0,1,1)", "spider needs leg orders >= 1, got (0,1,1)"),
+        ("F3", "chorded cycle needs m >= 4, got 3"),
+        ("P0", "path needs m >= 1, got 0"),
+    ],
+)
+def test_out_of_range_family_spec_is_a_usage_error(capsys, spec, message):
+    code, out, err = run(capsys, "classify", spec, "--n", "4", "--no-cache")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_strict_budget_exit_code(capsys):
     code, out, _ = run(
         capsys, "classify", "G(r=2,m=4)", "--n", "6", "--max-iter", "1", "--strict"

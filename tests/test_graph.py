@@ -20,19 +20,30 @@ from hline.graph import (
     components,
     disjoint_union,
     girth,
+    induced_subgraph,
     is_connected,
     is_cycle_graph,
     is_isomorphic,
     longest_cycle,
     norm_edge,
-    relabeled,
     unique_cycle,
-    without_isolated,
 )
 from hline.minimality import enumerate_connected_graphs
 from hline.operator import hl_step
 
 from conftest import brute_circumference, brute_girth, brute_isomorphic
+
+
+def relabeled(g: Graph, perm) -> Graph:
+    """Apply a permutation (old id -> new id) to vertex labels."""
+    return Graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def without_isolated(g: Graph) -> Graph:
+    """Drop isolated vertices and compact ids, preserving numeric order."""
+    touched = sorted({v for e in g.edges() for v in e})
+    sub, _ = induced_subgraph(g, touched)
+    return sub
 
 
 def random_graph(rng: random.Random, max_order: int = 8, p: float = 0.4) -> Graph:

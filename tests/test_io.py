@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -86,6 +87,13 @@ class TestEdgeList:
     def test_edgeless(self):
         assert parse_edge_list("3;") == Graph(3)
         assert render_edge_list(Graph(3)) == "3;"
+
+    def test_long_path_parses_in_linear_time(self):
+        text = render_edge_list(make_path(50_001))
+        start = time.perf_counter()
+        g = parse_edge_list(text)
+        assert time.perf_counter() - start < 2.0
+        assert g.order == 50_001 and g.size == 50_000
 
 
 class TestGraph6:

@@ -6,6 +6,7 @@ import pytest
 
 from hline import minimality
 from hline.budget import Budget
+from hline.cache import ClassificationCache
 from hline.classify import Outcome, classify
 from hline.families import (
     make_cycle,
@@ -427,6 +428,26 @@ class TestConjectureHarness:
         )
         assert report.status == "inconclusive"
         assert report.stats["unknown"] > 0
+
+    def test_divergence_candidates_come_only_from_order_cap_stops(self):
+        # the unknown classes ran out of search nodes; none outgrew the order cap
+        report = run_conjecture(
+            "divergence-iff-long-cycle", 5, 6, Budget(search_nodes=10)
+        )
+        assert report.stats["unknown"] > 0
+        assert report.candidates == []
+        assert report.status == "inconclusive" and report.undecided
+
+    def test_divergence_sweep_reads_the_cache(self, tmp_path):
+        budget = Budget(max_iter=1)
+        cold = run_conjecture(
+            "divergence-iff-long-cycle", 5, 6, budget,
+            ClassificationCache(tmp_path, "0.1.0", budget),
+        )
+        cache = ClassificationCache(tmp_path, "0.1.0", budget)
+        warm = run_conjecture("divergence-iff-long-cycle", 5, 6, budget, cache)
+        assert cache.misses == 0 and cache.hits == cold.stats["swept"]
+        assert warm.to_json() == cold.to_json()
 
 
 def test_classifier_memo_consistency():

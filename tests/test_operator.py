@@ -186,7 +186,7 @@ def test_search_budget_is_enforced():
         hl_step(g, 12, WorkCounter(5))
 
 
-def test_iterate_stops_with_order_cap_when_a_step_exhausts_its_budget():
+def test_iterate_stops_with_step_exhausted_when_a_step_exhausts_its_budget():
     trace = hl_iterate(make_cycle(12), 12, 30, 512, WorkCounter(5))
-    assert trace.stop_reason is StopReason.ORDER_CAP
+    assert trace.stop_reason is StopReason.STEP_EXHAUSTED
     assert len(trace.steps) == 1
