@@ -7,8 +7,9 @@ version or by a different algorithm version is treated as a miss, because
 outcomes such as "unknown" depend on all three.
 
 Each process appends to its own segment file, so concurrent sweeps never
-contend on writes; segments are merged when the cache is opened, newest
-record per key winning.  A per-record checksum lets corrupt lines be
+contend on writes; segments are merged when the cache is first read (the
+first `get` or `stats`), newest record per key winning, so a process that
+only appends never reads them.  A per-record checksum lets corrupt lines be
 skipped with a warning instead of poisoning the cache.
 """
 
@@ -26,10 +27,14 @@ from .minimality import ClassificationSummary
 
 ENV_CACHE_DIR = "HLINE_CACHE_DIR"
 
+# (code hex, n) -> (timestamp, summary) of the newest record
+_Records = dict[tuple[str, int], tuple[int, ClassificationSummary]]
+
 # Bump whenever a change to the searches can change a classification under
-# some budget, such as one that spends fewer search nodes; the tool version,
-# which reports print, need not change with it.
-ALGO_VERSION = 4
+# some budget, such as one that spends fewer search nodes or one that sweeps
+# other representatives of the same classes; the tool version, which reports
+# print, need not change with it.
+ALGO_VERSION = 5
 
 
 def default_cache_dir() -> Path:
@@ -49,12 +54,17 @@ class ClassificationCache:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.version = [version, ALGO_VERSION]
         self.fingerprint = budget.fingerprint()
-        self._records: dict[tuple[str, int], tuple[int, ClassificationSummary]] = {}
+        self._records: _Records | None = None  # None until the segments are read
         self._segment: Path | None = None
         self._skipped = 0
         self.hits = 0
         self.misses = 0
-        self._load()
+
+    def _loaded(self) -> _Records:
+        if self._records is None:
+            self._records = {}
+            self._load()
+        return self._records
 
     def _load(self) -> None:
         if not self.directory.is_dir():
@@ -86,7 +96,7 @@ class ClassificationCache:
                     self._records[key] = (ts, ClassificationSummary.from_json(rec["value"]))
 
     def get(self, code_hex: str, n: int) -> ClassificationSummary | None:
-        hit = self._records.get((code_hex, n))
+        hit = self._loaded().get((code_hex, n))
         if hit is None:
             self.misses += 1
             return None
@@ -94,12 +104,15 @@ class ClassificationCache:
         return hit[1]
 
     def put(self, code_hex: str, n: int, summary: ClassificationSummary) -> None:
+        """Append a record; before the first read it is appended unchecked,
+        as the segments that might already hold it are not read for it."""
         ts = time.time_ns()
         key = (code_hex, n)
-        old = self._records.get(key)
-        if old is not None and old[1] == summary:
-            return
-        self._records[key] = (ts, summary)
+        if self._records is not None:
+            old = self._records.get(key)
+            if old is not None and old[1] == summary:
+                return
+            self._records[key] = (ts, summary)
         payload = {
             "key": [code_hex, n],
             "value": summary.to_json(),
@@ -119,7 +132,7 @@ class ClassificationCache:
     def stats(self) -> dict:
         return {
             "directory": str(self.directory),
-            "entries": len(self._records),
+            "entries": len(self._loaded()),
             "segments": len(list(self.directory.glob("seg-*.jsonl")))
             if self.directory.is_dir()
             else 0,
@@ -134,6 +147,6 @@ class ClassificationCache:
             for seg in self.directory.glob("seg-*.jsonl"):
                 seg.unlink()
                 removed += 1
-        self._records.clear()
+        self._records = {}
         self._segment = None
         return removed

@@ -44,6 +44,7 @@ class Graph:
         self._hash = hash((order, self._edges))
         self._code: bytes | None = None  # set by canonical_code
         self._automorphisms: list[list[int]] = []  # set with _code
+        self._canonical_order: list[int] = []  # set with _code
 
     @property
     def order(self) -> int:
@@ -158,9 +159,10 @@ def _refined_colors(g: Graph) -> list[int]:
 
 def _canonical_rows(
     g: Graph, counter: WorkCounter
-) -> tuple[list[int], list[list[int]]]:
+) -> tuple[list[int], list[list[int]], list[int]]:
     """Lexicographically greatest adjacency rows over color-respecting orders,
-    with the automorphisms the search found on the way.
+    with the automorphisms the search found on the way and the vertex order
+    that gives the rows.
 
     Positions are blocked by refined color class (classes in color order);
     within a class every vertex choice is branched over, with prefix pruning
@@ -186,9 +188,10 @@ def _canonical_rows(
     the maximum, and with it the code, is that of the unpruned search.
     Each node spends one unit of `counter`.
 
-    Returns the rows and the automorphisms found, each as a list mapping
-    vertex v to gamma[v].  They are a subset of the automorphism group,
-    not necessarily generators of all of it.
+    Returns the rows, the automorphisms found, each as a list mapping
+    vertex v to gamma[v], and the best leaf's order, whose entry p is the
+    vertex at position p.  The automorphisms are a subset of the
+    automorphism group, not necessarily generators of all of it.
     """
     n = g.order
     colors = _refined_colors(g)
@@ -266,7 +269,7 @@ def _canonical_rows(
 
     search(0, False)
     assert improved
-    return best, autos
+    return best, autos, best_perm
 
 
 def _orbits(cell: set[int], gens: list[list[int]]) -> dict[int, int]:
@@ -300,9 +303,11 @@ def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
     The code is stored on `g` once a search completes, so later calls on
     the same object return it without searching or spending from `counter`;
     an exhausted search stores nothing.  The automorphisms that search
-    found are stored beside it as `g._automorphisms`, which
-    `enumerate_connected_graphs` uses to skip isomorphic children; a copy
-    made by pickling keeps the code but not them.  Neither the stored code
+    found are stored beside it as `g._automorphisms`, and the vertex order
+    that gives the code's rows as `g._canonical_order` (entry p is the
+    vertex at position p; isomorphic graphs' orders differ by an
+    isomorphism).  `enumerate_connected_graphs` uses both; a copy made by
+    pickling keeps the code but neither of them.  Neither the stored code
     nor the search pruning changes the bytes, whose format the tests pin.
     """
     if g._code is not None:
@@ -310,7 +315,7 @@ def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
     n = g.order
     if counter is None:
         counter = WorkCounter(2_000_000)
-    rows, autos = _canonical_rows(g, counter)
+    rows, autos, order = _canonical_rows(g, counter)
     bits = bytearray()
     acc = 0
     nbits = 0
@@ -326,6 +331,7 @@ def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
         bits.append(acc << (8 - nbits))
     g._code = n.to_bytes(4, "big") + bytes(bits)
     g._automorphisms = autos
+    g._canonical_order = order
     return g._code
 
 

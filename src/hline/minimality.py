@@ -94,19 +94,25 @@ class Classifier:
 
     def summary(self, g: Graph) -> ClassificationSummary:
         code = canonical_code(g)
+        summ = self._lookup(code)
+        if summ is None:
+            summ = summarize(classify(g, self.n, self.budget))
+            self._store(code, summ)
+        return summ
+
+    def _lookup(self, code: bytes) -> ClassificationSummary | None:
+        """The memo's or else the cache's summary of a class, or None."""
         hit = self.memo.get(code)
-        if hit is not None:
-            return hit
-        if self.cache is not None:
+        if hit is None and self.cache is not None:
             hit = self.cache.get(code.hex(), self.n)
             if hit is not None:
                 self.memo[code] = hit
-                return hit
-        summ = summarize(classify(g, self.n, self.budget))
+        return hit
+
+    def _store(self, code: bytes, summ: ClassificationSummary) -> None:
         self.memo[code] = summ
         if self.cache is not None:
             self.cache.put(code.hex(), self.n, summ)
-        return summ
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +216,39 @@ def is_minimally_convergent(g: Graph, n: int, budget: Budget = Budget()) -> str:
 
 def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     """One representative per isomorphism class of connected graphs with at
-    most v_max vertices and e_max edges.
+    most v_max vertices and e_max edges, by canonical augmentation (McKay
+    1998).  Deterministic order: by order, then canonical code.
 
-    Level-wise extension: every connected graph on v vertices arises from a
-    connected graph on v-1 vertices by joining one new vertex to a nonempty
-    subset (a spanning tree's leaf is never a cut vertex), so extending every
-    parent by every subset and rejecting duplicates by canonical code is
-    exhaustive.  Deterministic order: by order, then canonical code.
+    Each level joins a new vertex x to a nonempty anchor subset S of every
+    parent of the level below.  The child is accepted only when x is a
+    canonical deletion vertex.  Among the non-cut vertices (deleting one
+    keeps the graph connected) let f(u) = (degree of u, sorted degrees of
+    its neighbours); x must have the least f, a test that needs no labeling
+    (`_deletion_ties`).  When other non-cut vertices share that f, let w be
+    the first of them and x in the child's canonical order
+    (`Graph._canonical_order`); a w other than x must leave the parent's
+    class behind, canonical_code(child - w) == canonical_code(parent).
+    A child whose code the level already holds is dropped before that test.
 
-    Orbit pruning: an anchor subset S of a parent is skipped, unbuilt and
-    unlabeled, when an automorphism gamma that labeling stored on the
-    parent (`Graph._automorphisms`) maps it to a set that sorts before it.
-    The child of gamma(S) is isomorphic to the child of S, has the same
-    size, and comes earlier from the same `combinations` loop, so its code
-    is already in the level when S comes up (by induction, also when
-    gamma(S) was itself skipped), and only the first child per code is
-    kept.  Representatives, their order and their codes are those
-    of the unpruned extension; fewer stored automorphisms only skip less.
+    Completeness: let C be connected of order v >= 2 with at most e_max
+    edges, and w its canonical deletion vertex as above (every connected
+    graph of order >= 2 has non-cut vertices).  C - w is connected with
+    fewer edges, so its class has a representative P one level down.  An
+    isomorphism C - w -> P maps N(w) onto an anchor set S of P, and with
+    w -> x it maps C onto the child of S, taking w to x: f(x) is least,
+    and the first tying vertex w' of the child satisfies child - w' ~
+    C - w ~ P, since canonical orders of isomorphic graphs differ by an
+    isomorphism.  So the child of S, a copy of C, is accepted.
+
+    Orbit pruning: S is skipped, unbuilt and unlabeled, when an
+    automorphism gamma that labeling stored on the parent
+    (`Graph._automorphisms`) maps it to a set that sorts before it.  gamma
+    extended by x -> x maps the child of S onto the child of gamma(S),
+    which is accepted exactly when the child of S is and comes earlier
+    from the same loop; the lexicographically least set of each orbit is
+    never skipped.  Stored automorphisms need not generate the whole
+    group, so one parent can still yield two accepted copies of a class;
+    the level dict, keyed by code, keeps the first.
     """
     if v_max < 1:
         return
@@ -238,29 +260,82 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     for code in sorted(level):
         yield level[code]
     for v in range(2, v_max + 1):
+        x = v - 1
         nxt: dict[bytes, Graph] = {}
         for parent in level.values():
             free = e_max - parent.size
             if free < 1:
                 continue
-            anchors = list(range(v - 1))
+            adj = parent._adj
             autos = parent._automorphisms
-            for k in range(1, min(free, v - 1) + 1):
-                for subset in combinations(anchors, k):
+            pieces = [_pieces_without(parent, u) for u in range(x)]
+            for k in range(1, min(free, x) + 1):
+                for subset in combinations(range(x), k):
                     if any(
                         tuple(sorted(gamma[a] for a in subset)) < subset
                         for gamma in autos
                     ):
                         continue
-                    child = Graph(
-                        v, list(parent.edges()) + [(a, v - 1) for a in subset]
-                    )
+                    ties = _deletion_ties(adj, set(subset), pieces)
+                    if ties is None:
+                        continue
+                    child = Graph(v, parent.edges() + tuple((a, x) for a in subset))
                     code = canonical_code(child)
-                    if code not in nxt:
-                        nxt[code] = child
+                    if code in nxt:
+                        continue
+                    if ties:
+                        order = child._canonical_order
+                        w = next(u for u in order if u == x or u in ties)
+                        if w != x:
+                            rest, _ = induced_subgraph(child, set(range(v)) - {w})
+                            if canonical_code(rest) != canonical_code(parent):
+                                continue
+                    nxt[code] = child
         level = nxt
         for code in sorted(level):
             yield level[code]
+
+
+def _deletion_ties(
+    adj: tuple[tuple[int, ...], ...],
+    anchors: set[int],
+    pieces: list[list[frozenset[int]]],
+) -> set[int] | None:
+    """The degree filter of `enumerate_connected_graphs` on the child that
+    joins a new vertex x to `anchors` in a connected parent with adjacency
+    lists `adj`; pieces[u] holds the components of the parent minus u.
+
+    With f(u) = (degree of u, sorted degrees of its neighbours) in the
+    child: None when a non-cut vertex has a smaller f than x, else the
+    other non-cut vertices with the same f as x.  The child minus u is the
+    parent minus u with x joined to the anchors other than u, so u is a cut
+    vertex exactly when some piece of the parent minus u holds no anchor;
+    x never is one.
+    """
+    x = len(adj)
+    deg = [len(nbrs) + (u in anchors) for u, nbrs in enumerate(adj)]
+    deg.append(len(anchors))
+    fx = (deg[x], sorted(deg[a] for a in anchors))
+    ties = set()
+    for u in range(x):
+        if deg[u] > deg[x]:
+            continue
+        nbr_degs = [deg[w] for w in adj[u]]
+        if u in anchors:
+            nbr_degs.append(deg[x])
+        fu = (deg[u], sorted(nbr_degs))
+        if fu > fx or any(piece.isdisjoint(anchors) for piece in pieces[u]):
+            continue
+        if fu < fx:
+            return None
+        ties.add(u)
+    return ties
+
+
+def _pieces_without(g: Graph, u: int) -> list[frozenset[int]]:
+    """The components of g - u, as vertex sets of g."""
+    rest, old_ids = induced_subgraph(g, set(range(g.order)) - {u})
+    return [frozenset(old_ids[w] for w in comp) for comp in components(rest)]
 
 
 def enumerate_two_component_unions(v_max: int, e_max: int | None = None):
@@ -581,23 +656,25 @@ def _sweep(
     """The classifier and the classes a sweep visits: connected graphs, then
     optionally the disjoint unions of two connected graphs.
 
-    With jobs > 1, a worker pool classifies every class into the memo
-    first.  Per-graph classification is independent and pure, so results
-    merge deterministically regardless of completion order.  With one job
-    the sweep classifies each class when it first asks for it.
+    With jobs > 1, the memo first takes every class the cache holds, and a
+    worker pool classifies the rest into it.  Per-graph classification is
+    independent and pure, so results merge deterministically regardless of
+    completion order.  With one job the sweep classifies each class when it
+    first asks for it.
     """
     clf = Classifier(n, budget, cache)
     graphs = list(enumerate_connected_graphs(v_max, e_max))
     if unions:
         graphs.extend(enumerate_two_component_unions(v_max, e_max))
-    if jobs > 1 and len(graphs) > 1:
+    if jobs <= 1:
+        return clf, graphs
+    misses = [g for g in graphs if clf._lookup(canonical_code(g)) is None]
+    if len(misses) > 1:
         with multiprocessing.Pool(jobs) as pool:
             for code, summ in pool.imap_unordered(
-                _summary_worker, [(g, n, budget) for g in graphs], chunksize=8
+                _summary_worker, [(g, n, budget) for g in misses], chunksize=8
             ):
-                clf.memo[code] = summ
-                if cache is not None:
-                    cache.put(code.hex(), n, summ)
+                clf._store(code, summ)
     return clf, graphs
 
 

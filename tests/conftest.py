@@ -92,6 +92,27 @@ def graph_classes_up_to_6():
     return classes
 
 
+def naive_connected_graphs(v_max: int, e_max: int | None = None) -> list[Graph]:
+    """One representative per isomorphism class of connected graphs with at
+    most v_max vertices and e_max edges, by extend-and-reject: every parent
+    joined to a new vertex by every nonempty anchor subset, the first child
+    per canonical code kept.  Ordered by order, then code."""
+    if e_max is None:
+        e_max = v_max * (v_max - 1) // 2
+    level = [Graph(1)] if v_max >= 1 else []
+    out = list(level)
+    for v in range(2, v_max + 1):
+        children: dict[bytes, Graph] = {}
+        for parent in level:
+            for k in range(1, min(e_max - parent.size, v - 1) + 1):
+                for subset in combinations(range(v - 1), k):
+                    child = Graph(v, list(parent.edges()) + [(a, v - 1) for a in subset])
+                    children.setdefault(canonical_code(child), child)
+        level = [children[code] for code in sorted(children)]
+        out.extend(level)
+    return out
+
+
 def naive_proper_subgraphs(g: Graph):
     """One representative per isomorphism class of proper subgraph, from a
     scan of every nonempty set of deleted edges, isolated vertices stripped;

@@ -73,10 +73,11 @@ def test_corrupt_records_skipped_with_warning(tmp_path):
     record = json.loads(lines[0])
     record["value"]["outcome"] = "terminated"  # checksum now stale
     seg.write_text(json.dumps(record) + "\nnot json at all\n")
+    reopened = cache_at(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        reopened = cache_at(tmp_path)
-    assert reopened.get("abcd", 5) is None
+        # the segments are read on the first get
+        assert reopened.get("abcd", 5) is None
     assert reopened.stats()["corrupt_skipped"] == 2
     assert caught
 

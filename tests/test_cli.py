@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -176,6 +177,24 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     assert code == EXIT_OK
     code, out, _ = run(capsys, "cache", "stats")
     assert json.loads(out)["entries"] == 0
+
+
+def test_classify_appends_without_reading_the_cache(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "seg-1.jsonl").write_text("not json at all\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(capsys, "classify", "C6", "--n", "4")
+    assert code == EXIT_OK
+    assert (cache_dir / "seg-1.jsonl").read_text() == "not json at all\n"
+    appended = [
+        json.loads(line)
+        for seg in cache_dir.glob("seg-*.jsonl")
+        if seg.name != "seg-1.jsonl"
+        for line in seg.read_text().splitlines()
+    ]
+    assert [rec["key"][1] for rec in appended] == [4]
 
 
 def test_no_cache_flag(capsys):

@@ -190,6 +190,27 @@ class TestCanonicalCode:
             found += len(g._automorphisms)
         assert found
 
+    def test_canonical_order_relabels_onto_the_code_rows(self):
+        # the vertex at position p goes to p; the result's lower triangle,
+        # row by row and MSB-first, is the code after its 4 order bytes
+        rng = random.Random(11)
+        graphs = [PETERSEN, matching(4), make_cycle(7), circulant(12, (1, 5))]
+        for g in graphs + [random_graph(rng) for _ in range(200)]:
+            g = shuffled(g, rng)
+            code = canonical_code(g)
+            assert sorted(g._canonical_order) == list(range(g.order))
+            pos = {v: p for p, v in enumerate(g._canonical_order)}
+            h = relabeled(g, pos)
+            bits = "".join(
+                "1" if h.has_edge(i, j) else "0"
+                for i in range(h.order)
+                for j in range(i)
+            )
+            rows = bytes(
+                int(bits[k:k + 8].ljust(8, "0"), 2) for k in range(0, len(bits), 8)
+            )
+            assert code == g.order.to_bytes(4, "big") + rows
+
     def test_pickled_copy_keeps_the_stored_code(self):
         g = Graph(PETERSEN.order, PETERSEN.edges())
         code = canonical_code(g)

@@ -39,6 +39,7 @@ from hline.operator import hl_step
 
 from conftest import (
     all_labeled_graphs,
+    naive_connected_graphs,
     naive_minimal_classes,
     naive_minimality,
     naive_proper_subgraphs,
@@ -222,22 +223,56 @@ class TestEnumeration:
         # OEIS A001349
         assert [per_order[v] for v in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
 
-    # SHA-256 over the representatives, in enumeration order; computed
-    # before orbit pruning, which must not change them
+    @pytest.mark.parametrize(
+        "args", [(v_max,) for v_max in range(1, 8)] + [(8, 7), (8, 8)]
+    )
+    def test_same_codes_as_extend_and_reject(self, args):
+        mine = [canonical_code(g) for g in enumerate_connected_graphs(*args)]
+        assert mine == [canonical_code(g) for g in naive_connected_graphs(*args)]
+
+    def test_order_8_count(self):
+        graphs = list(enumerate_connected_graphs(8))
+        assert len(graphs) == 12_113
+        assert sum(1 for g in graphs if g.order == 8) == 11_117  # OEIS A001349
+        # one order-8 class is kept only through the deletion labeling
+        blob = json.dumps([[g.order, [list(e) for e in g.edges()]] for g in graphs])
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "acaa4e925e1d2227fa0d0ee65d3233c3d51326dc9d289072d4d3a8c8207f9b34"
+        )
+
+    def test_degree_filter_skips_cut_vertices(self):
+        def ties(parent, anchors):
+            pieces = [minimality._pieces_without(parent, u) for u in range(parent.order)]
+            return minimality._deletion_ties(parent._adj, set(anchors), pieces)
+
+        # two K4s joined through vertex 4; x = 8 completes the second K4.
+        # The cut vertex 4 has the least f, (2, [4, 4]), and is passed over.
+        parent = Graph(
+            8,
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)]
+            + [(5, 6), (5, 7), (6, 7)],
+        )
+        assert ties(parent, (5, 6, 7)) == {1, 2, 3, 6, 7}
+        assert ties(parent, (6,)) == set()  # the only leaf
+        # joined to the first two vertices of a path, x has degree 2 beside a leaf
+        assert ties(make_path(3), (0, 1)) is None
+
+    # SHA-256 over the representatives, in enumeration order; they are the
+    # first child per code that canonical augmentation accepts
     @pytest.mark.parametrize(
         "generate, args, count, digest",
         [
             (
                 enumerate_connected_graphs, (7,), 996,
-                "33f509bf1a337d323b087c448d6cf030b13f909e829cd6ebf937a9cb912fdfcf",
+                "c953705984ae4572ba12c9e1ea17ca3e2a6457f3f057df38db7644624c51b386",
             ),
             (
                 enumerate_connected_graphs, (7, 8), 200,
-                "fdc39caa1f96eb9c2a8da24aec49bbfdc5877af89f77dad3d6ef1bb331cae67b",
+                "691ac8f03b5fa47e82fc19babb90ddb9c4f4ab896aabac7b51c82e37ab0c1e06",
             ),
             (
                 enumerate_two_component_unions, (8,), 220,
-                "b688b0327fb9ca82448b58b84bebae000d2bb76450cdeb20a89eafdeab28c145",
+                "46d28ef6b2c88633c5c35c83b1e68515bab7eb3265b4d3d7575641ed4be15152",
             ),
         ],
         ids=["connected-7", "connected-7-8", "unions-8"],
@@ -258,8 +293,10 @@ class TestEnumeration:
 
         monkeypatch.setattr(minimality, "canonical_code", counting)
         assert sum(1 for _ in enumerate_connected_graphs(7)) == 996
-        # 7,816 children are labeled without the pruning
-        assert calls <= 5_000
+        # 7,816 children are labeled without any pruning and 4,220 with orbit
+        # pruning alone; the degree filter leaves 1,030 children, 12 deletion
+        # labelings and their 12 parent lookups, and the order-1 class
+        assert calls <= 1_100
 
     def test_edge_bound_respected(self):
         for g in enumerate_connected_graphs(6, 6):
@@ -376,6 +413,38 @@ class TestFindMinimalMembers:
         seq = find_minimal_members(4, 5)
         par = find_minimal_members(4, 5, jobs=2)
         assert seq.to_json() == par.to_json()
+
+    def test_parallel_sweep_reads_the_cache(self, tmp_path, monkeypatch):
+        pooled = []
+
+        class InlinePool:
+            """Runs the pool's tasks in this process and records them."""
+
+            def __init__(self, jobs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                pooled.extend(tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(minimality.multiprocessing, "Pool", InlinePool)
+        for _ in range(2):
+            cache = ClassificationCache(tmp_path, "0.1.0", Budget())
+            seq = find_minimal_members(4, 6, cache=cache)
+        assert cache.hits == 142
+        cache = ClassificationCache(tmp_path, "0.1.0", Budget())
+        par = find_minimal_members(4, 6, cache=cache, jobs=2)
+        assert cache.hits == 142
+        # the order-1 class, which a one-job sweep never classifies, at most
+        assert len(pooled) <= 1
+        assert par.to_json() == seq.to_json()
 
     def test_union_sweep_runs(self):
         report = find_minimal_members(4, 6, include_unions=True)
