@@ -17,7 +17,7 @@ import json
 import sys
 
 from .acceptance import run_all
-from .budget import Budget, ResourceLimitError
+from .budget import DEFAULT_MAX_ITER, DEFAULT_MAX_ORDER, Budget, ResourceLimitError
 from .cache import ClassificationCache, default_cache_dir
 from .classify import Outcome, classify
 from .families import parse_family_spec
@@ -37,6 +37,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+
+
+# --jobs is still parsed so that existing command lines keep working.
+_JOBS_HELP = "ignored; sweeps run in one process"
 
 
 class _UsageError(Exception):
@@ -62,8 +66,8 @@ def resolve_graph(text: str) -> Graph:
 
 def _budget(args) -> Budget:
     return Budget(
-        max_iter=getattr(args, "max_iter", 30),
-        max_order=getattr(args, "max_order", 512),
+        max_iter=getattr(args, "max_iter", DEFAULT_MAX_ITER),
+        max_order=getattr(args, "max_order", DEFAULT_MAX_ORDER),
     )
 
 
@@ -131,7 +135,6 @@ def _cmd_search_min(args) -> int:
         e_max=args.emax,
         include_unions=args.unions,
         cache=cache,
-        jobs=args.jobs,
     )
     _emit(report.to_json())
     if args.strict and report.counts.get("unknown", 0) > 0:
@@ -142,7 +145,7 @@ def _cmd_search_min(args) -> int:
 def _cmd_conjecture(args) -> int:
     budget = _budget(args)
     cache = _open_cache(args, budget)
-    report = run_conjecture(args.id, args.n, args.vmax, budget, cache, args.jobs)
+    report = run_conjecture(args.id, args.n, args.vmax, budget, cache)
     _emit(report.to_json())
     if args.strict and report.undecided:
         return EXIT_BUDGET
@@ -193,8 +196,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="classify one graph, JSON report")
     p.add_argument("graph")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-iter", type=int, default=30)
-    p.add_argument("--max-order", type=int, default=512)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(fn=_cmd_classify)
@@ -208,7 +211,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vmax", type=int, required=True)
     p.add_argument("--emax", type=int, default=None)
     p.add_argument("--unions", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(fn=_cmd_search_min)
@@ -217,7 +220,7 @@ def build_parser() -> _Parser:
     p.add_argument("id", choices=CONJECTURE_IDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--vmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(fn=_cmd_conjecture)

@@ -76,9 +76,6 @@ class Graph:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return (Graph, (self._order, self._edges), {"_code": self._code})
-
     def __repr__(self) -> str:
         return f"Graph(order={self._order}, edges={list(self._edges)})"
 
@@ -306,9 +303,9 @@ def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
     found are stored beside it as `g._automorphisms`, and the vertex order
     that gives the code's rows as `g._canonical_order` (entry p is the
     vertex at position p; isomorphic graphs' orders differ by an
-    isomorphism).  `enumerate_connected_graphs` uses both; a copy made by
-    pickling keeps the code but neither of them.  Neither the stored code
-    nor the search pruning changes the bytes, whose format the tests pin.
+    isomorphism).  `enumerate_connected_graphs` uses both.  Neither the
+    stored code nor the search pruning changes the bytes, whose format the
+    tests pin.
     """
     if g._code is not None:
         return g._code

@@ -23,7 +23,6 @@ falsity of a conjecture.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
@@ -94,25 +93,19 @@ class Classifier:
 
     def summary(self, g: Graph) -> ClassificationSummary:
         code = canonical_code(g)
-        summ = self._lookup(code)
-        if summ is None:
-            summ = summarize(classify(g, self.n, self.budget))
-            self._store(code, summ)
-        return summ
-
-    def _lookup(self, code: bytes) -> ClassificationSummary | None:
-        """The memo's or else the cache's summary of a class, or None."""
         hit = self.memo.get(code)
-        if hit is None and self.cache is not None:
+        if hit is not None:
+            return hit
+        if self.cache is not None:
             hit = self.cache.get(code.hex(), self.n)
             if hit is not None:
                 self.memo[code] = hit
-        return hit
-
-    def _store(self, code: bytes, summ: ClassificationSummary) -> None:
+                return hit
+        summ = summarize(classify(g, self.n, self.budget))
         self.memo[code] = summ
         if self.cache is not None:
             self.cache.put(code.hex(), self.n, summ)
+        return summ
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +333,16 @@ def _pieces_without(g: Graph, u: int) -> list[frozenset[int]]:
 
 def enumerate_two_component_unions(v_max: int, e_max: int | None = None):
     """Disjoint unions of two connected graphs of order >= 2, combined order
-    at most v_max, deduplicated.  Order-1 parts are excluded: they are
-    isolated vertices, which the minimality decision does not accept."""
+    at most v_max and combined size at most e_max, deduplicated.  Order-1
+    parts are excluded: they are isolated vertices, which the minimality
+    decision does not accept."""
     parts = [g for g in enumerate_connected_graphs(v_max - 2, e_max) if g.order >= 2]
     seen: set[bytes] = set()
     out: list[tuple[bytes, Graph]] = []
     for a, b in combinations_with_replacement(parts, 2):
         if a.order + b.order > v_max:
+            continue
+        if e_max is not None and a.size + b.size > e_max:
             continue
         u = disjoint_union(a, b)
         code = canonical_code(u)
@@ -639,43 +635,12 @@ def _graph_json(g: Graph) -> dict:
     return {"order": g.order, "edges": [list(e) for e in g.edges()]}
 
 
-def _summary_worker(args) -> tuple[bytes, ClassificationSummary]:
-    g, n, budget = args
-    return canonical_code(g), summarize(classify(g, n, budget))
-
-
-def _sweep(
-    n: int,
-    v_max: int,
-    budget: Budget,
-    cache,
-    jobs: int,
-    e_max: int | None = None,
-    unions: bool = False,
-) -> tuple[Classifier, list[Graph]]:
-    """The classifier and the classes a sweep visits: connected graphs, then
-    optionally the disjoint unions of two connected graphs.
-
-    With jobs > 1, the memo first takes every class the cache holds, and a
-    worker pool classifies the rest into it.  Per-graph classification is
-    independent and pure, so results merge deterministically regardless of
-    completion order.  With one job the sweep classifies each class when it
-    first asks for it.
-    """
-    clf = Classifier(n, budget, cache)
-    graphs = list(enumerate_connected_graphs(v_max, e_max))
+def _swept_graphs(v_max: int, e_max: int | None, unions: bool):
+    """The classes a sweep visits: connected graphs, then optionally the
+    disjoint unions of two connected graphs."""
+    yield from enumerate_connected_graphs(v_max, e_max)
     if unions:
-        graphs.extend(enumerate_two_component_unions(v_max, e_max))
-    if jobs <= 1:
-        return clf, graphs
-    misses = [g for g in graphs if clf._lookup(canonical_code(g)) is None]
-    if len(misses) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            for code, summ in pool.imap_unordered(
-                _summary_worker, [(g, n, budget) for g in misses], chunksize=8
-            ):
-                clf._store(code, summ)
-    return clf, graphs
+        yield from enumerate_two_component_unions(v_max, e_max)
 
 
 def _decide(
@@ -698,19 +663,19 @@ def find_minimal_members(
     e_max: int | None = None,
     include_unions: bool = False,
     cache=None,
-    jobs: int = 1,
 ) -> SearchReport:
     """Sweep every enumerated graph class and keep the minimal or undecided
     ones, then confirm the known minimal families showed up.
 
-    Expected as minimal: every tailed cycle of total order n (when its order
-    fits the sweep) and every cycle of length n..v_max.
+    Expected as minimal: every tailed cycle of total order n and every
+    cycle of length n..v_max, each only when its order is at most v_max and
+    its size at most e_max.
     """
-    clf, candidates = _sweep(n, v_max, budget, cache, jobs, e_max, include_unions)
+    clf = Classifier(n, budget, cache)
     records: list[MinimalityRecord] = []
     counts = {"swept": 0, "yes": 0, "no": 0, "unknown": 0}
     status_by_code: dict[str, str] = {}
-    for g in candidates:
+    for g in _swept_graphs(v_max, e_max, include_unions):
         decision = _decide(g, clf, counts)
         if decision is None:
             continue
@@ -731,17 +696,15 @@ def find_minimal_members(
                 )
             )
 
-    expected: list[tuple[str, Graph]] = []
-    for member in tailed_cycles_of_total_order(n):
-        if member.order <= v_max:
-            expected.append((f"tailed_cycle_total_{n}", member))
-    for m in range(n, v_max + 1):
-        expected.append((f"C{m}", make_cycle(m)))
-    missing = []
-    for name, graph in expected:
-        code_hex = canonical_code(graph).hex()
-        if status_by_code.get(code_hex) != "yes":
-            missing.append(name)
+    expected = [(f"tailed_cycle_total_{n}", g) for g in tailed_cycles_of_total_order(n)]
+    expected += [(f"C{m}", make_cycle(m)) for m in range(n, v_max + 1)]
+    missing = [
+        name
+        for name, graph in expected
+        if graph.order <= v_max
+        and (e_max is None or graph.size <= e_max)
+        and status_by_code.get(canonical_code(graph).hex()) != "yes"
+    ]
 
     records.sort(key=lambda r: (r.order, r.size, r.code_hex))
     return SearchReport(n, v_max, e_max, include_unions, records, counts, missing)
@@ -803,7 +766,6 @@ def run_conjecture(
     v_max: int,
     budget: Budget = Budget(),
     cache=None,
-    jobs: int = 1,
 ) -> ConjectureReport:
     """Run one falsification sweep over the enumerated graph classes.
 
@@ -816,11 +778,11 @@ def run_conjecture(
     if conjecture not in CONJECTURE_IDS:
         raise ValueError(f"unknown conjecture id {conjecture!r}")
     harness = _HARNESSES[conjecture]
-    clf, graphs = _sweep(n, v_max, budget, cache, jobs, unions=harness.unions)
+    clf = Classifier(n, budget, cache)
     stats = dict.fromkeys(harness.stats, 0)
     candidates: list[ConjectureCandidate] = []
     undecided = False
-    for g in graphs:
+    for g in _swept_graphs(v_max, None, harness.unions):
         verdict = harness.predicate(g, clf, stats)
         if verdict is _UNDECIDED:
             undecided = True

@@ -167,6 +167,21 @@ def test_conjecture_report(capsys):
     assert report["status"] == "no-counterexample-within-bounds"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search-min", "--n", "4", "--vmax", "6", "--no-cache"),
+        ("conjecture", "unique-minimal-subgraph", "--n", "4", "--vmax", "5", "--no-cache"),
+    ],
+)
+def test_jobs_flag_is_accepted_and_ignored(capsys, argv):
+    code, plain, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    code, with_jobs, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == EXIT_OK
+    assert with_jobs == plain
+
+
 def test_cache_stats_and_clear(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "C6", "--n", "4")
     assert code == EXIT_OK

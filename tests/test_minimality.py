@@ -311,6 +311,16 @@ class TestEnumeration:
         second = [canonical_code(g) for g in enumerate_connected_graphs(5)]
         assert first == second
 
+    def test_unions_respect_the_edge_bound(self):
+        for v_max, e_max in ((6, 3), (7, 4), (8, 5)):
+            unions = list(enumerate_two_component_unions(v_max, e_max))
+            assert unions and all(u.size <= e_max for u in unions)
+            assert {canonical_code(u) for u in unions} == {
+                canonical_code(u)
+                for u in enumerate_two_component_unions(v_max)
+                if u.size <= e_max
+            }
+
     def test_unions_exclude_isolated_vertices(self):
         for u in enumerate_two_component_unions(6):
             assert all(u.degree(v) > 0 for v in range(u.order))
@@ -409,42 +419,29 @@ class TestFindMinimalMembers:
                     canonical_code(s).hex() for s in proper_subgraphs(g)
                 ]
 
-    def test_parallel_matches_sequential(self):
-        seq = find_minimal_members(4, 5)
-        par = find_minimal_members(4, 5, jobs=2)
-        assert seq.to_json() == par.to_json()
-
-    def test_parallel_sweep_reads_the_cache(self, tmp_path, monkeypatch):
-        pooled = []
-
-        class InlinePool:
-            """Runs the pool's tasks in this process and records them."""
-
-            def __init__(self, jobs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, fn, tasks, chunksize=1):
-                tasks = list(tasks)
-                pooled.extend(tasks)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(minimality.multiprocessing, "Pool", InlinePool)
-        for _ in range(2):
+    def test_warm_sweep_reads_the_cache(self, tmp_path):
+        reports = []
+        for hits in (0, 142):
             cache = ClassificationCache(tmp_path, "0.1.0", Budget())
-            seq = find_minimal_members(4, 6, cache=cache)
-        assert cache.hits == 142
-        cache = ClassificationCache(tmp_path, "0.1.0", Budget())
-        par = find_minimal_members(4, 6, cache=cache, jobs=2)
-        assert cache.hits == 142
-        # the order-1 class, which a one-job sweep never classifies, at most
-        assert len(pooled) <= 1
-        assert par.to_json() == seq.to_json()
+            reports.append(find_minimal_members(4, 6, cache=cache))
+            assert cache.hits == hits
+        assert reports[1].to_json() == reports[0].to_json()
+
+    def test_expected_members_respect_the_edge_bound(self):
+        assert find_minimal_members(4, 6, e_max=4).expected_missing == []
+        assert find_minimal_members(5, 6, e_max=4).expected_missing == []
+        # members that fit the bounds are still expected, with or without e_max
+        starved = Budget(max_iter=1)
+        assert find_minimal_members(5, 6, starved, e_max=5).expected_missing == [
+            "tailed_cycle_total_5",
+            "tailed_cycle_total_5",
+            "C5",
+        ]
+        assert find_minimal_members(4, 5, starved).expected_missing == [
+            "tailed_cycle_total_4",
+            "C4",
+            "C5",
+        ]
 
     def test_union_sweep_runs(self):
         report = find_minimal_members(4, 6, include_unions=True)
