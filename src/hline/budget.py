@@ -1,7 +1,7 @@
 """Work budgets for the exact-search primitives.
 
-Every exponential search in the package (cycle search, path extension
-search, subgraph search, canonical labeling) counts the nodes it expands
+Every exponential search in the package (the simple-path searches of
+`graph.simple_paths` and canonical labeling) counts the nodes it expands
 against a shared counter and aborts with ResourceLimitError when the
 allowance runs out.  Callers that can tolerate partial answers catch the
 error and flag the result as budget-limited.

@@ -34,7 +34,7 @@ _Records = dict[tuple[str, int], tuple[int, ClassificationSummary]]
 # some budget, such as one that spends fewer search nodes or one that sweeps
 # other representatives of the same classes; the tool version, which reports
 # print, need not change with it.
-ALGO_VERSION = 5
+ALGO_VERSION = 6
 
 
 def default_cache_dir() -> Path:

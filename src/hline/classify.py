@@ -31,6 +31,7 @@ from .graph import (
     is_cycle_graph,
     longest_cycle,
     norm_edge,
+    simple_paths,
 )
 from .operator import SequenceTrace, StopReason, _iterate, hl_step
 
@@ -85,94 +86,21 @@ class Classification:
 
 
 # ---------------------------------------------------------------------------
-# Shared search helpers
+# Certificate searches
 # ---------------------------------------------------------------------------
 
 
 def _iter_cycles(g: Graph, counter: WorkCounter, max_len: int | None = None):
-    """Yield every cycle once, as a vertex sequence starting at its minimum
-    vertex, oriented toward the smaller of that vertex's two cycle neighbors.
+    """Yield every cycle of at most `max_len` vertices once, as a vertex
+    sequence starting at its minimum vertex, oriented toward the smaller of
+    that vertex's two cycle neighbors.
     """
-    path: list[int] = []
-    used: set[int] = set()
-
-    def dfs(anchor: int):
-        counter.spend()
-        cur = path[-1]
-        for x in g.neighbors(cur):
-            if x == anchor:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    yield path.copy()
-            elif x > anchor and x not in used:
-                if max_len is not None and len(path) >= max_len:
-                    continue
-                used.add(x)
-                path.append(x)
-                yield from dfs(anchor)
-                path.pop()
-                used.remove(x)
-
     for a in range(g.order):
         if g.degree(a) < 2:
             continue
-        path = [a]
-        used = {a}
-        yield from dfs(a)
-
-
-def _longest_path_from(
-    g: Graph, start: int, blocked: set[int], counter: WorkCounter
-) -> list[int]:
-    """Longest simple path starting at `start`, never entering `blocked`."""
-    best: list[int] = [start]
-    path = [start]
-    used = {start}
-
-    def dfs():
-        nonlocal best
-        counter.spend()
-        if len(path) > len(best):
-            best = path.copy()
-        for x in g.neighbors(path[-1]):
-            if x in blocked or x in used:
-                continue
-            used.add(x)
-            path.append(x)
-            dfs()
-            path.pop()
-            used.remove(x)
-
-    dfs()
-    return best
-
-
-def _iter_paths_of_order(
-    g: Graph, start: int, order: int, blocked: set[int], counter: WorkCounter
-):
-    """Yield every simple path of exactly `order` vertices from `start`."""
-    path = [start]
-    used = {start}
-
-    def dfs():
-        counter.spend()
-        if len(path) == order:
-            yield path.copy()
-            return
-        for x in g.neighbors(path[-1]):
-            if x in blocked or x in used:
-                continue
-            used.add(x)
-            path.append(x)
-            yield from dfs()
-            path.pop()
-            used.remove(x)
-
-    yield from dfs()
-
-
-# ---------------------------------------------------------------------------
-# Certificate searches
-# ---------------------------------------------------------------------------
+        for path in simple_paths(g, a, counter, range(a), max_len):
+            if len(path) >= 3 and path[1] < path[-1] and g.has_edge(path[-1], a):
+                yield path.copy()
 
 
 def check_long_cycle(
@@ -218,8 +146,11 @@ def check_long_tail(
         m = len(cycle)
         on_cycle = set(cycle)
         for v in cycle:
-            blocked = on_cycle - {v}
-            tail_path = _longest_path_from(g, v, blocked, counter)
+            # the first longest simple path from v off the cycle
+            tail_path = [v]
+            for path in simple_paths(g, v, counter, on_cycle):
+                if len(path) > len(tail_path):
+                    tail_path = path.copy()
             r = len(tail_path) - 1
             if r >= 1 and m + r > best_total:
                 best_total = m + r
@@ -278,13 +209,14 @@ def _find_disjoint_legs(
         for start in g.neighbors(center):
             if start in used:
                 continue
-            for path in _iter_paths_of_order(g, start, lengths[i], used, counter):
+            for path in simple_paths(g, start, counter, used, lengths[i]):
+                if len(path) < lengths[i]:
+                    continue
                 used.update(path)
-                chosen.append(path)
+                chosen.append(path.copy())
                 if place(i + 1):
                     return True
-                chosen.pop()
-                used.difference_update(path)
+                used.difference_update(chosen.pop())
         return False
 
     if place(0):
@@ -317,7 +249,10 @@ def check_twin_tail(
             for u in g.neighbors(v):
                 if u in on_cycle:
                     continue
-                for tail in _iter_paths_of_order(g, u, r, on_cycle, counter):
+                for tail in simple_paths(g, u, counter, on_cycle, r):
+                    if len(tail) < r:
+                        continue
+                    tail = tail.copy()
                     edges = cycle_edges | {norm_edge(v, u)} | {
                         norm_edge(tail[i], tail[i + 1]) for i in range(r - 1)
                     }

@@ -43,6 +43,7 @@ class Graph:
         )
         self._hash = hash((order, self._edges))
         self._code: bytes | None = None  # set by canonical_code
+        self._code_nodes = 0  # the labeling's cost, set with _code
         self._automorphisms: list[list[int]] = []  # set with _code
         self._canonical_order: list[int] = []  # set with _code
 
@@ -297,9 +298,12 @@ def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
     and platforms.  Raises ResourceLimitError if the labeling search
     exhausts `counter`.
 
-    The code is stored on `g` once a search completes, so later calls on
-    the same object return it without searching or spending from `counter`;
-    an exhausted search stores nothing.  The automorphisms that search
+    The code is stored on `g` once a search completes, with the nodes the
+    search spent as `g._code_nodes`; an exhausted search stores nothing.
+    Later calls on the same object return the stored code without
+    searching, and spend its recorded cost from `counter` when one is
+    passed, so a budget runs out at the same call whether or not `g` was
+    labeled before.  The automorphisms that search
     found are stored beside it as `g._automorphisms`, and the vertex order
     that gives the code's rows as `g._canonical_order` (entry p is the
     vertex at position p; isomorphic graphs' orders differ by an
@@ -308,10 +312,13 @@ def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
     tests pin.
     """
     if g._code is not None:
+        if counter is not None:
+            counter.spend(g._code_nodes)
         return g._code
     n = g.order
     if counter is None:
         counter = WorkCounter(2_000_000)
+    before = counter.remaining
     rows, autos, order = _canonical_rows(g, counter)
     bits = bytearray()
     acc = 0
@@ -327,6 +334,7 @@ def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
     if nbits:
         bits.append(acc << (8 - nbits))
     g._code = n.to_bytes(4, "big") + bytes(bits)
+    g._code_nodes = before - counter.remaining
     g._automorphisms = autos
     g._canonical_order = order
     return g._code
@@ -344,15 +352,59 @@ def is_isomorphic(g1: Graph, g2: Graph, *, counter: WorkCounter | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# Cycle statistics
+# Simple paths and cycle statistics
 # ---------------------------------------------------------------------------
+
+
+def simple_paths(
+    g: Graph, start: int, counter: WorkCounter, blocked=(), max_order: int | None = None
+):
+    """Every simple path from `start` whose other vertices avoid `blocked`
+    and that has at most `max_order` vertices, `[start]` first.
+
+    Depth-first: each path comes before its extensions, and the extensions
+    of a path in increasing order of their new vertex.  Each path yielded
+    spends one unit of `counter`.  The list yielded is the live path, which
+    changes when the generator resumes, so callers copy a path they keep.
+    `blocked` is read once, when the iteration starts.
+    """
+    if max_order is None:
+        max_order = g.order
+    adj = g._adj
+    spend = counter.spend
+    seen = [False] * g.order  # blocked or on the path
+    for v in blocked:
+        seen[v] = True
+    seen[start] = True
+    path = [start]
+    spend()
+    yield path
+    stack = [iter(adj[start])] if max_order > 1 else []
+    while stack:
+        for x in stack[-1]:
+            if seen[x]:
+                continue
+            spend()
+            path.append(x)
+            yield path
+            if len(path) < max_order:
+                seen[x] = True
+                stack.append(iter(adj[x]))
+                break
+            path.pop()
+        else:
+            stack.pop()
+            seen[path.pop()] = False
 
 
 def longest_cycle(g: Graph, counter: WorkCounter | None = None) -> list[int] | None:
     """A longest cycle as a vertex sequence, or None for acyclic graphs.
 
-    Exact DFS anchored at each cycle's minimum vertex, with branch-and-bound
-    on the vertices still available to the current anchor.
+    Each cycle is found from its minimum vertex a, as a path through the
+    vertices above a of degree >= 2 in a's component (a's available
+    vertices) whose end is adjacent to a.  An anchor stops at a cycle
+    through all of them, since no cycle through a is longer, and is skipped
+    when that length cannot beat the best cycle found.
     """
     if counter is None:
         counter = WorkCounter()
@@ -361,39 +413,20 @@ def longest_cycle(g: Graph, counter: WorkCounter | None = None) -> list[int] | N
         for v in comp:
             comp_of[v] = comp
 
-    best_len = 0
-    best: list[int] | None = None
-    path: list[int] = []
-
+    best: list[int] = []
     for a in range(g.order):
         if g.degree(a) < 2:
             continue
         avail = {v for v in comp_of[a] if v > a and g.degree(v) >= 2}
-        if 1 + len(avail) <= best_len:
+        if 1 + len(avail) <= len(best):
             continue
-        used = {a}
-        path.append(a)
-
-        def dfs() -> None:
-            nonlocal best_len, best
-            counter.spend()
-            if len(path) + (len(avail) - (len(used) - 1)) <= best_len:
-                return
-            cur = path[-1]
-            for x in g.neighbors(cur):
-                if x == a and len(path) >= 3 and len(path) > best_len:
-                    best_len = len(path)
-                    best = path.copy()
-                elif x in avail and x not in used:
-                    used.add(x)
-                    path.append(x)
-                    dfs()
-                    path.pop()
-                    used.remove(x)
-
-        dfs()
-        path.pop()
-    return best
+        blocked = [v for v in comp_of[a] if v not in avail]
+        for path in simple_paths(g, a, counter, blocked):
+            if len(path) >= 3 and len(path) > len(best) and g.has_edge(path[-1], a):
+                best = path.copy()
+                if len(best) == 1 + len(avail):
+                    break
+    return best or None
 
 
 def circumference(g: Graph, counter: WorkCounter | None = None) -> int:

@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
-from .budget import Budget, ResourceLimitError, WorkCounter
+from .budget import Budget, ResourceLimitError
 from .classify import Classification, Outcome, check_long_cycle, classify
 from .families import make_cycle, tailed_cycles_of_total_order
 from .graph import (
@@ -41,6 +41,7 @@ from .graph import (
     is_connected,
     is_cycle_graph,
     is_isomorphic,
+    simple_paths,
     unique_cycle,
 )
 from .operator import edge_in_pn, hl_step
@@ -408,28 +409,6 @@ class PropertyReport:
         return [k for k, r in self.results.items() if r.status == "fail"]
 
 
-def _iter_simple_paths_min_order(g: Graph, min_order: int):
-    """All simple paths of order >= min_order, one direction each."""
-    path: list[int] = []
-    used: set[int] = set()
-
-    def dfs():
-        if len(path) >= min_order and path[0] < path[-1]:
-            yield path.copy()
-        for x in g.neighbors(path[-1]):
-            if x not in used:
-                used.add(x)
-                path.append(x)
-                yield from dfs()
-                path.pop()
-                used.discard(x)
-
-    for start in range(g.order):
-        path = [start]
-        used = {start}
-        yield from dfs()
-
-
 def _non_unicyclic_components(g: Graph) -> list[tuple[frozenset[int], int]]:
     """The components of g whose edge count differs from their vertex
     count, each with its edge count."""
@@ -482,7 +461,8 @@ def property_suite(
     uni_connected = g.order > 0 and g.size == g.order and is_connected(g)
     missing = [e for e in g.edges() if not edge_in_pn(g, e, n)]
     hl = hl_step(g, n)
-    image_circumference = circumference(hl.graph) if uni_connected else None
+    counter = budget.counter()  # the path scan and every circumference
+    image_circumference = circumference(hl.graph, counter) if uni_connected else None
 
     def skip(name: str, why: str) -> None:
         results[name] = CheckResult("skip", why)
@@ -502,15 +482,19 @@ def property_suite(
         is_isomorphic(g, d) for d in tailed_cycles_of_total_order(n)
     ):
         bad: list[list[int]] = []
-        for path in _iter_simple_paths_min_order(g, n):
-            inside = set(path)
-            p1, p2 = path[0], path[-1]
-            if not set(g.neighbors(p1)) <= inside:
-                continue
-            if not set(g.neighbors(p2)) <= inside:
-                continue
-            if g.degree(p1) != 1 or g.degree(p2) != 1:
-                bad.append(path)
+        # every simple path of order >= n, one direction each
+        for start in range(g.order):
+            for path in simple_paths(g, start, counter):
+                p1, p2 = path[0], path[-1]
+                if len(path) < n or p1 > p2:
+                    continue
+                inside = set(path)
+                if not set(g.neighbors(p1)) <= inside:
+                    continue
+                if not set(g.neighbors(p2)) <= inside:
+                    continue
+                if g.degree(p1) != 1 or g.degree(p2) != 1:
+                    bad.append(path.copy())
         verdict("maximal_path_ends_pendant", not bad, f"paths={bad[:3]}")
     else:
         skip("maximal_path_ends_pendant", "hypothesis not met")
@@ -528,7 +512,7 @@ def property_suite(
     # (d) unicyclic with every edge on an n-vertex path => circumference
     #     does not drop
     if uni_connected and not missing:
-        cg, ch = circumference(g), image_circumference
+        cg, ch = circumference(g, counter), image_circumference
         verdict("circumference_nondecreasing", ch >= cg, f"{cg} -> {ch}")
     else:
         skip("circumference_nondecreasing", "hypothesis not met")
@@ -558,7 +542,7 @@ def property_suite(
         for root in set(arm_dec.roots):
             star = [i for i, e in enumerate(hl.provenance) if root in e]
             sub, _ = induced_subgraph(hl.graph, star)
-            if circumference(sub) >= 4:
+            if circumference(sub, counter) >= 4:
                 bad_roots.append(root)
         verdict("root_star_no_long_cycle", not bad_roots, f"roots={bad_roots}")
     else:
@@ -814,9 +798,10 @@ def _divergence_without_long_cycle(g: Graph, clf: Classifier, stats: dict):
         a < b for a, b in zip(orders, orders[1:])
     ):
         return _UNDECIDED
+    counter = budget.counter()
     for step in c.trace.steps:
         try:
-            if check_long_cycle(step.graph, n, WorkCounter()) is not None:
+            if check_long_cycle(step.graph, n, counter) is not None:
                 return _UNDECIDED
         except ResourceLimitError:
             return _UNDECIDED

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .budget import ResourceLimitError, WorkCounter
-from .graph import Edge, Graph, components, is_isomorphic, norm_edge
+from .graph import Edge, Graph, components, is_isomorphic, norm_edge, simple_paths
 
 
 def _check_edge(g: Graph, e: Edge) -> Edge:
@@ -33,54 +33,29 @@ def _two_disjoint_extensions(
     g: Graph, start1: int, start2: int, base: frozenset[int],
     total: int, counter: WorkCounter,
 ) -> bool:
-    """Do vertex-disjoint simple extensions from start1 and start2 exist,
-    avoiding `base`, with orders (vertex counts) summing to `total`?
+    """Do two vertex-disjoint paths exist, one from start1 and one from
+    start2, whose vertices past their starts avoid `base` and number
+    `total` together?
 
-    Tries every split a + b = total; the second-side search memoizes failed
-    blocked-vertex sets so distinct first-side paths covering the same
-    vertices are not re-explored.
+    Tries every split a + b = total: each path from start1 with a further
+    vertices is tried with every path from start2 with b further vertices
+    that avoids it.  A vertex set for which the start2 side failed is
+    remembered, so another start1 path over the same vertices is not
+    tried again.
     """
     for a in range(total + 1):
         b = total - a
-        failed_right: set[frozenset[int]] = set()
-        used: set[int] = set()
-
-        def right(cur: int, remaining: int) -> bool:
-            counter.spend()
-            if remaining == 0:
-                return True
-            for x in g.neighbors(cur):
-                if x in base or x in used:
-                    continue
-                used.add(x)
-                if right(x, remaining - 1):
-                    used.discard(x)
+        failed: set[frozenset[int]] = set()
+        for left in simple_paths(g, start1, counter, base, a + 1):
+            if len(left) <= a:
+                continue
+            key = frozenset(left)
+            if key in failed:
+                continue
+            for right in simple_paths(g, start2, counter, base | key, b + 1):
+                if len(right) > b:
                     return True
-                used.discard(x)
-            return False
-
-        def left(cur: int, remaining: int) -> bool:
-            counter.spend()
-            if remaining == 0:
-                key = frozenset(used)
-                if key in failed_right:
-                    return False
-                if right(start2, b):
-                    return True
-                failed_right.add(key)
-                return False
-            for x in g.neighbors(cur):
-                if x in base or x in used:
-                    continue
-                used.add(x)
-                if left(x, remaining - 1):
-                    used.discard(x)
-                    return True
-                used.discard(x)
-            return False
-
-        if left(start1, a):
-            return True
+            failed.add(key)
     return False
 
 

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 
 import pytest
 
@@ -23,9 +25,12 @@ from hline.families import (
     make_spider,
     make_tailed_cycle,
 )
-from hline.graph import Graph, disjoint_union, is_isomorphic
+from hline.graph import Graph, canonical_code, disjoint_union, is_isomorphic
+from hline.io import classification_report
 from hline.minimality import enumerate_connected_graphs
 from hline.operator import StopReason, hl_iterate, hl_step
+
+from conftest import naive_connected_graphs
 
 
 class TestLongCycleCheck:
@@ -161,6 +166,31 @@ class TestClassify:
             "spider_exhausted@k=0",
             "twin_tail_exhausted@k=0",
             "step_exhausted@k=0",
+        )
+
+    def test_tight_budget_outcome_does_not_depend_on_the_stored_code(self):
+        fresh = make_cycle(4)
+        labeled = make_cycle(4)
+        canonical_code(labeled)
+        for g in (fresh, labeled):
+            c = classify(g, 4, Budget(search_nodes=60))
+            assert c.outcome is Outcome.UNKNOWN
+            assert c.unknown_reason == "canon_exhausted"
+        assert classify(fresh, 4, Budget(search_nodes=60)).outcome is Outcome.UNKNOWN
+        assert classify(fresh, 4).outcome is Outcome.CONVERGED
+
+    def test_reports_on_small_connected_graphs_are_pinned(self):
+        # every report over the connected graphs of order <= 6 at n = 4..7,
+        # as the path searches wrote them before they shared one kernel
+        digest = hashlib.sha256()
+        graphs = naive_connected_graphs(6)
+        for n in range(4, 8):
+            for g in graphs:
+                report = classification_report(classify(g, n), g)
+                digest.update(json.dumps(report, sort_keys=True).encode())
+        assert len(graphs) == 143
+        assert digest.hexdigest() == (
+            "221cd364460197448d1455fcff65496aed6ef0b15a59856602510d672379eda1"
         )
 
     def test_n_below_four_rejected(self):

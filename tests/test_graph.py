@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from hline.acceptance import _iter_simple_paths_of_order
 from hline.budget import ResourceLimitError, WorkCounter
 from hline.families import (
     make_chorded_cycle,
@@ -26,12 +27,18 @@ from hline.graph import (
     is_isomorphic,
     longest_cycle,
     norm_edge,
+    simple_paths,
     unique_cycle,
 )
 from hline.minimality import enumerate_connected_graphs
 from hline.operator import hl_step
 
-from conftest import brute_circumference, brute_girth, brute_isomorphic
+from conftest import (
+    brute_circumference,
+    brute_girth,
+    brute_isomorphic,
+    naive_connected_graphs,
+)
 
 
 def relabeled(g: Graph, perm) -> Graph:
@@ -160,12 +167,19 @@ class TestCanonicalCode:
         # raises ResourceLimitError past 1,000 nodes
         canonical_code(matching(6), counter=WorkCounter(1_000))
 
-    def test_second_call_returns_the_stored_code_for_free(self):
+    def test_second_call_charges_the_stored_code_its_cost(self):
         g = Graph(PETERSEN.order, PETERSEN.edges())  # a fresh, uncoded object
-        first = canonical_code(g)
-        counter = WorkCounter(0)
+        counter = WorkCounter(10_000)
+        first = canonical_code(g, counter=counter)
+        cost = 10_000 - counter.remaining
+        assert cost > 0 and g._code_nodes == cost
+        # returned without a new search, at the recorded cost
+        counter = WorkCounter(cost)
         assert canonical_code(g, counter=counter) is first
         assert counter.remaining == 0
+        with pytest.raises(ResourceLimitError):
+            canonical_code(g, counter=WorkCounter(cost - 1))
+        assert canonical_code(g) is first
 
     def test_exhausted_search_stores_nothing(self):
         g = make_cycle(12)
@@ -216,7 +230,10 @@ class TestCanonicalCode:
         code = canonical_code(g)
         copy = pickle.loads(pickle.dumps(g))
         assert copy == g and copy._code == code
-        assert canonical_code(copy, counter=WorkCounter(0)) == code
+        assert copy._code_nodes == g._code_nodes > 0
+        counter = WorkCounter(g._code_nodes)
+        assert canonical_code(copy, counter=counter) == code
+        assert counter.remaining == 0
         unlabeled = pickle.loads(pickle.dumps(make_cycle(5)))
         assert unlabeled._code is None
 
@@ -352,6 +369,25 @@ class TestCycleStatistics:
             if girth(g) > 0:
                 assert girth(g) <= circumference(g)
 
+    # nodes spent by the branch-and-bound longest-cycle search, which went on
+    # after a cycle through every vertex open to its anchor; stopping there
+    # may only make the search cheaper
+    BRANCH_AND_BOUND_NODES = {"connected_to_6": 1557, "K7": 22, "circulant": 25}
+
+    def test_longest_cycle_spends_no_more_than_branch_and_bound(self):
+        counter = WorkCounter()
+        for g in naive_connected_graphs(6):
+            assert circumference(g, counter) == brute_circumference(g)
+        spent = {"connected_to_6": WorkCounter().remaining - counter.remaining}
+        k7 = Graph(7, combinations(range(7), 2))
+        for name, g in [("K7", k7), ("circulant", circulant(12, (1, 5)))]:
+            counter = WorkCounter()
+            assert len(longest_cycle(g, counter)) == g.order
+            spent[name] = WorkCounter().remaining - counter.remaining
+        for name, before in self.BRANCH_AND_BOUND_NODES.items():
+            assert spent[name] <= before, name
+        assert spent["K7"] == 7  # one path per vertex of the Hamiltonian cycle
+
     def test_longest_cycle_is_a_real_cycle(self):
         rng = random.Random(15)
         for _ in range(40):
@@ -362,6 +398,53 @@ class TestCycleStatistics:
             assert len(set(cycle)) == len(cycle) >= 3
             for i in range(len(cycle)):
                 assert g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)])
+
+
+class TestSimplePaths:
+    def test_agrees_with_the_path_oracle_up_to_order_6(self):
+        for g in naive_connected_graphs(6):
+            counter = WorkCounter()
+            found = [
+                path.copy()
+                for start in range(g.order)
+                for path in simple_paths(g, start, counter)
+            ]
+            for n in range(2, 7):
+                ours = {
+                    tuple(p) for p in found if len(p) == n and p[0] < p[-1]
+                }
+                oracle = {tuple(p) for p in _iter_simple_paths_of_order(g, n)}
+                assert ours == oracle, (g, n)
+
+    def test_depth_first_in_increasing_order(self):
+        # a prefix sorts before its extensions and siblings by their new
+        # vertex, so depth-first order is lexicographic order
+        for g in [PETERSEN, make_chorded_cycle(6), make_spider(2, 2, 1)]:
+            for start in range(g.order):
+                paths = [p.copy() for p in simple_paths(g, start, WorkCounter())]
+                assert paths[0] == [start]
+                assert paths == sorted(paths)
+                assert len({tuple(p) for p in paths}) == len(paths)
+
+    @pytest.mark.parametrize(
+        "blocked, max_order", [((), None), ({3, 7}, None), ((), 4), ({0, 9}, 3)]
+    )
+    def test_one_unit_per_path(self, blocked, max_order):
+        counter = WorkCounter(10_000)
+        paths = [
+            p.copy() for p in simple_paths(PETERSEN, 5, counter, blocked, max_order)
+        ]
+        assert 10_000 - counter.remaining == len(paths) > 1
+        assert all(not set(p[1:]) & set(blocked) for p in paths)
+        if max_order is not None:
+            assert max(len(p) for p in paths) == max_order
+
+    def test_exhaustion_stops_at_the_path_that_overspends(self):
+        counter = WorkCounter(5)
+        paths = simple_paths(make_cycle(12), 0, counter)
+        assert [len(next(paths)) for _ in range(5)] == [1, 2, 3, 4, 5]
+        with pytest.raises(ResourceLimitError):
+            next(paths)
 
 
 class TestCycleGraphPredicate:

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from hline import minimality
-from hline.budget import Budget
+from hline.budget import Budget, ResourceLimitError
 from hline.cache import ClassificationCache
 from hline.classify import Outcome, classify
 from hline.families import (
@@ -379,6 +379,11 @@ class TestPropertySuite:
         assert report.results["every_edge_on_full_path"].status == "pass"
         assert report.results["circumference_nondecreasing"].status == "pass"
         assert "4 -> 5" in report.results["circumference_nondecreasing"].note
+
+    def test_circumference_spends_from_the_budget(self):
+        # the circumferences of the hexagon and of its image take 6 nodes each
+        with pytest.raises(ResourceLimitError):
+            property_suite(make_cycle(6), 6, Budget(search_nodes=5))
 
     def test_claw_all_skip(self):
         report = property_suite(make_spider(1, 1, 1), 4)
