@@ -28,6 +28,11 @@ class Budget:
     max_order: int = DEFAULT_MAX_ORDER
     search_nodes: int = DEFAULT_SEARCH_NODES
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+
     def counter(self) -> "WorkCounter":
         return WorkCounter(self.search_nodes)
 

@@ -1,16 +1,17 @@
 """Persistent, append-only classification cache.
 
 Records are keyed by (canonical code, n) so isomorphic inputs share one
-entry, and carry the tool version, the algorithm version and a budget
-fingerprint: a record written under different budgets, by a different tool
-version or by a different algorithm version is treated as a miss, because
-outcomes such as "unknown" depend on all three.
+entry.  Outcomes such as "unknown" depend on the tool version, on the
+algorithm and on the budgets, so all three key the segment files: a cache
+reads only the segments named by its own key, and records written by other
+code or under other budgets are never parsed.  The algorithm key is a digest
+of the package's own source, so any edit to it invalidates earlier records.
 
 Each process appends to its own segment file, so concurrent sweeps never
-contend on writes; segments are merged when the cache is first read (the
-first `get` or `stats`), newest record per key winning, so a process that
-only appends never reads them.  A per-record checksum lets corrupt lines be
-skipped with a warning instead of poisoning the cache.
+contend on writes.  Segments are merged when the cache is first read,
+newest record per key winning; `put` reads them too and appends only a
+record they do not already hold.  A per-record checksum lets corrupt lines
+be skipped with a warning instead of poisoning the cache.
 """
 
 from __future__ import annotations
@@ -30,11 +31,16 @@ ENV_CACHE_DIR = "HLINE_CACHE_DIR"
 # (code hex, n) -> (timestamp, summary) of the newest record
 _Records = dict[tuple[str, int], tuple[int, ClassificationSummary]]
 
-# Bump whenever a change to the searches can change a classification under
-# some budget, such as one that spends fewer search nodes or one that sweeps
-# other representatives of the same classes; the tool version, which reports
-# print, need not change with it.
-ALGO_VERSION = 6
+
+def _source_digest(package: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+# Digest of the package source: any edit to it invalidates earlier records.
+ALGO_KEY = _source_digest(Path(__file__).parent)
 
 
 def default_cache_dir() -> Path:
@@ -52,8 +58,10 @@ def _record_sha(payload: dict) -> str:
 class ClassificationCache:
     def __init__(self, directory: Path | None, version: str, budget: Budget):
         self.directory = Path(directory) if directory else default_cache_dir()
-        self.version = [version, ALGO_VERSION]
+        self.version = [version, ALGO_KEY]
         self.fingerprint = budget.fingerprint()
+        key = _record_sha({"version": self.version, "budget": self.fingerprint})[:16]
+        self._prefix = f"seg-{key}-"  # names this instance's segments
         self._records: _Records | None = None  # None until the segments are read
         self._segment: Path | None = None
         self._skipped = 0
@@ -69,7 +77,7 @@ class ClassificationCache:
     def _load(self) -> None:
         if not self.directory.is_dir():
             return
-        for seg in sorted(self.directory.glob("seg-*.jsonl")):
+        for seg in sorted(self.directory.glob(f"{self._prefix}*.jsonl")):
             try:
                 lines = seg.read_text().splitlines()
             except OSError as exc:
@@ -104,15 +112,12 @@ class ClassificationCache:
         return hit[1]
 
     def put(self, code_hex: str, n: int, summary: ClassificationSummary) -> None:
-        """Append a record; before the first read it is appended unchecked,
-        as the segments that might already hold it are not read for it."""
+        records = self._loaded()
+        old = records.get((code_hex, n))
+        if old is not None and old[1] == summary:
+            return
         ts = time.time_ns()
-        key = (code_hex, n)
-        if self._records is not None:
-            old = self._records.get(key)
-            if old is not None and old[1] == summary:
-                return
-            self._records[key] = (ts, summary)
+        records[(code_hex, n)] = (ts, summary)
         payload = {
             "key": [code_hex, n],
             "value": summary.to_json(),
@@ -125,7 +130,7 @@ class ClassificationCache:
         )
         if self._segment is None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._segment = self.directory / f"seg-{os.getpid()}.jsonl"
+            self._segment = self.directory / f"{self._prefix}{os.getpid()}.jsonl"
         with self._segment.open("a") as fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
 

@@ -72,7 +72,7 @@ def _budget(args) -> Budget:
 
 
 def _open_cache(args, budget: Budget) -> ClassificationCache | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
     return ClassificationCache(getattr(args, "cache_dir", None), TOOL_VERSION, budget)
 
@@ -82,6 +82,8 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_hl(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     g = resolve_graph(args.graph)
     cur = g
     print(f"k=0: order={cur.order} size={cur.size}")
@@ -101,16 +103,8 @@ def _cmd_hl(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = resolve_graph(args.graph)
-    budget = _budget(args)
-    cache = _open_cache(args, budget)
-    c = classify(g, args.n, budget)
-    report = classification_report(c, g)
-    _emit(report)
-    if cache is not None:
-        from .minimality import summarize
-
-        code = report["input_code"]
-        cache.put(code, args.n, summarize(c))
+    c = classify(g, args.n, _budget(args))
+    _emit(classification_report(c, g))
     if args.strict and c.outcome is Outcome.UNKNOWN:
         return EXIT_BUDGET
     return EXIT_OK
@@ -199,7 +193,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--no-cache", action="store_true")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("family", help="print a family graph in both formats")

@@ -244,6 +244,8 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     group, so one parent can still yield two accepted copies of a class;
     the level dict, keyed by code, keeps the first.
     """
+    if e_max is not None and e_max < 0:
+        raise ValueError(f"e_max must be >= 0, got {e_max}")
     if v_max < 1:
         return
     if v_max > ENUMERATION_CAP:
@@ -421,21 +423,10 @@ def _non_unicyclic_components(g: Graph) -> list[tuple[frozenset[int], int]]:
 
 
 def _vertex_on_cycle(g: Graph, x: int) -> bool:
-    """True iff some cycle of g passes through x: two neighbors of x stay
-    connected when x is removed."""
+    """True iff some cycle of g passes through x: two neighbors of x lie in
+    one component of g - x."""
     nbrs = g.neighbors(x)
-    for a, b in combinations(nbrs, 2):
-        seen = {a, x}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                return True
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return False
+    return any(len(piece.intersection(nbrs)) >= 2 for piece in _pieces_without(g, x))
 
 
 def property_suite(

@@ -1,5 +1,10 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import hline.cache as cache_module
 from hline.budget import Budget
@@ -39,12 +44,43 @@ def test_stale_version_treated_as_miss(tmp_path):
 
 
 def test_other_algorithm_version_treated_as_miss(tmp_path, monkeypatch):
-    monkeypatch.setattr(cache_module, "ALGO_VERSION", cache_module.ALGO_VERSION - 1)
+    monkeypatch.setattr(cache_module, "ALGO_KEY", "0" * 64)
     cache_at(tmp_path).put("abcd", 5, SUMMARY)
     monkeypatch.undo()
     reopened = cache_at(tmp_path)
     assert reopened.get("abcd", 5) is None
     assert reopened.stats()["corrupt_skipped"] == 0
+
+
+def test_segments_of_other_code_are_never_parsed(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "ALGO_KEY", "0" * 64)
+    cache_at(tmp_path).put("abcd", 5, SUMMARY)
+    monkeypatch.undo()
+    seg = next(tmp_path.glob("seg-*.jsonl"))
+    seg.write_text(seg.read_text() + "not json at all\n")
+    reopened = cache_at(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reopened.get("abcd", 5) is None
+    assert reopened.stats()["corrupt_skipped"] == 0
+
+
+def test_algo_key_follows_the_package_source(tmp_path):
+    package = Path(cache_module.__file__).parent
+    keys = []
+    for name, extra in (("unchanged", b""), ("edited", b" ")):
+        copy = tmp_path / name / "hline"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        with (copy / "operator.py").open("ab") as fh:
+            fh.write(extra)
+        out = subprocess.run(
+            [sys.executable, "-c", "import hline.cache; print(hline.cache.ALGO_KEY)"],
+            env={**os.environ, "PYTHONPATH": str(copy.parent)},
+            capture_output=True, text=True, check=True,
+        )
+        keys.append(out.stdout.strip())
+    assert keys[0] == cache_module.ALGO_KEY  # the digest does not depend on the path
+    assert keys[1] != keys[0]
 
 
 def test_different_budget_treated_as_miss(tmp_path):
@@ -86,7 +122,7 @@ def test_segments_merge(tmp_path):
     first = cache_at(tmp_path)
     first.put("abcd", 5, SUMMARY)
     seg = next(tmp_path.glob("seg-*.jsonl"))
-    other = tmp_path / "seg-99999.jsonl"
+    other = tmp_path / f"{first._prefix}99999.jsonl"
     line = json.loads(seg.read_text().splitlines()[0])
     line["key"] = ["beef", 5]
     payload = {k: line[k] for k in ("key", "value", "version", "budget", "ts")}
@@ -100,11 +136,25 @@ def test_segments_merge(tmp_path):
     assert merged.stats()["segments"] == 2
 
 
+def test_put_skips_a_record_the_segments_hold(tmp_path):
+    cache_at(tmp_path).put("abcd", 5, SUMMARY)
+    cache_at(tmp_path).put("abcd", 5, SUMMARY)
+    lines = [line for seg in tmp_path.glob("seg-*.jsonl") for line in seg.read_text().splitlines()]
+    assert len(lines) == 1
+
+
 def test_clear(tmp_path):
     cache = cache_at(tmp_path)
     cache.put("abcd", 5, SUMMARY)
     assert cache.clear() == 1
     assert cache.get("abcd", 5) is None
+    assert not list(tmp_path.glob("seg-*.jsonl"))
+
+
+def test_clear_removes_segments_of_every_key_and_format(tmp_path):
+    cache_at(tmp_path, version="0.0.9").put("abcd", 5, SUMMARY)
+    (tmp_path / "seg-1.jsonl").write_text("a segment of an older format\n")
+    assert cache_at(tmp_path).clear() == 2
     assert not list(tmp_path.glob("seg-*.jsonl"))
 
 

@@ -202,6 +202,11 @@ class TestClassify:
         assert c.outcome is Outcome.DIVERGED_BY_ORDER
         assert c.certificate.found_at_iteration == 0
 
+    @pytest.mark.parametrize("field", ["max_iter", "max_order", "search_nodes"])
+    def test_negative_budget_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            Budget(**{field: -1})
+
     def test_input_above_max_order_still_classifies(self):
         c = classify(make_cycle(6), 6, Budget(max_order=3))
         assert c.outcome is Outcome.CONVERGED and c.steps_to_outcome == 0

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import pytest
 
@@ -81,6 +80,22 @@ def test_out_of_range_argument_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "C6", "--n", "4", "--max-iter", "-1"), "max_iter must be >= 0, got -1"),
+        (("classify", "C6", "--n", "4", "--max-order", "-3"), "max_order must be >= 0, got -3"),
+        (("hl", "C6", "--n", "4", "--steps", "-2"), "--steps must be >= 0, got -2"),
+        (("search-min", "--n", "4", "--vmax", "5", "--emax", "-1"), "e_max must be >= 0, got -1"),
+    ],
+)
+def test_negative_budget_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "spec, message",
     [
         ("C2", "cycle needs m >= 3, got 2"),
@@ -91,7 +106,7 @@ def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     ],
 )
 def test_out_of_range_family_spec_is_a_usage_error(capsys, spec, message):
-    code, out, err = run(capsys, "classify", spec, "--n", "4", "--no-cache")
+    code, out, err = run(capsys, "classify", spec, "--n", "4")
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"error: {message}\n"
@@ -183,40 +198,23 @@ def test_jobs_flag_is_accepted_and_ignored(capsys, argv):
 
 
 def test_cache_stats_and_clear(capsys, tmp_path):
-    code, out, _ = run(capsys, "classify", "C6", "--n", "4")
+    code, out, _ = run(capsys, "search-min", "--n", "4", "--vmax", "4")
     assert code == EXIT_OK
     code, out, _ = run(capsys, "cache", "stats")
     assert code == EXIT_OK
-    assert json.loads(out)["entries"] == 1
+    assert json.loads(out)["entries"] > 0
     code, out, _ = run(capsys, "cache", "clear")
     assert code == EXIT_OK
     code, out, _ = run(capsys, "cache", "stats")
     assert json.loads(out)["entries"] == 0
 
 
-def test_classify_appends_without_reading_the_cache(capsys, tmp_path):
+def test_classify_writes_no_cache_segment(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    (cache_dir / "seg-1.jsonl").write_text("not json at all\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, _ = run(capsys, "classify", "C6", "--n", "4")
-    assert code == EXIT_OK
-    assert (cache_dir / "seg-1.jsonl").read_text() == "not json at all\n"
-    appended = [
-        json.loads(line)
-        for seg in cache_dir.glob("seg-*.jsonl")
-        if seg.name != "seg-1.jsonl"
-        for line in seg.read_text().splitlines()
-    ]
-    assert [rec["key"][1] for rec in appended] == [4]
-
-
-def test_no_cache_flag(capsys):
-    code, _, _ = run(capsys, "classify", "C6", "--n", "4", "--no-cache")
-    assert code == EXIT_OK
-    code, out, _ = run(capsys, "cache", "stats")
-    assert json.loads(out)["entries"] == 0
+    for _ in range(3):
+        code, _, _ = run(capsys, "--cache-dir", str(cache_dir), "classify", "C6", "--n", "4")
+        assert code == EXIT_OK
+    assert not list(cache_dir.glob("seg-*.jsonl"))
 
 
 def test_output_is_deterministic(capsys):

@@ -389,6 +389,16 @@ class TestPropertySuite:
         report = property_suite(make_spider(1, 1, 1), 4)
         assert all(r.status == "skip" for r in report.results.values())
 
+    def test_vertex_on_cycle_matches_networkx_cycle_basis(self):
+        nx = pytest.importorskip("networkx")
+        for g in enumerate_connected_graphs(6):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.order))
+            h.add_edges_from(g.edges())
+            on_cycle = {v for cycle in nx.cycle_basis(h) for v in cycle}
+            for x in range(g.order):
+                assert minimality._vertex_on_cycle(g, x) == (x in on_cycle)
+
 
 class TestFindMinimalMembers:
     def test_small_sweep_for_n4(self):
