@@ -8,7 +8,9 @@ code or under other budgets are never parsed.  The algorithm key is a digest
 of the package's own source, so any edit to it invalidates earlier records.
 
 Each process appends to its own segment file, so concurrent sweeps never
-contend on writes.  Segments are merged when the cache is first read,
+contend on writes.  A cache keeps that file open from its first append
+until `close`, line-buffered, so every record reaches the file before `put`
+returns.  Segments are merged when the cache is first read,
 newest record per key winning; `put` reads them too and appends only a
 record they do not already hold.  A per-record checksum lets corrupt lines
 be skipped with a warning instead of poisoning the cache.
@@ -22,6 +24,7 @@ import os
 import time
 import warnings
 from pathlib import Path
+from typing import TextIO
 
 from .budget import Budget
 from .minimality import ClassificationSummary
@@ -63,7 +66,7 @@ class ClassificationCache:
         key = _record_sha({"version": self.version, "budget": self.fingerprint})[:16]
         self._prefix = f"seg-{key}-"  # names this instance's segments
         self._records: _Records | None = None  # None until the segments are read
-        self._segment: Path | None = None
+        self._segment: TextIO | None = None  # opened on the first append
         self._skipped = 0
         self.hits = 0
         self.misses = 0
@@ -130,9 +133,15 @@ class ClassificationCache:
         )
         if self._segment is None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._segment = self.directory / f"{self._prefix}{os.getpid()}.jsonl"
-        with self._segment.open("a") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            path = self.directory / f"{self._prefix}{os.getpid()}.jsonl"
+            self._segment = path.open("a", buffering=1)  # flushed at each newline
+        self._segment.write(json.dumps(payload, sort_keys=True) + "\n")
+
+    def close(self) -> None:
+        """Close the segment handle; the next `put` opens a new one."""
+        if self._segment is not None:
+            self._segment.close()
+            self._segment = None
 
     def stats(self) -> dict:
         return {
@@ -147,11 +156,11 @@ class ClassificationCache:
         }
 
     def clear(self) -> int:
+        self.close()
         removed = 0
         if self.directory.is_dir():
             for seg in self.directory.glob("seg-*.jsonl"):
                 seg.unlink()
                 removed += 1
         self._records = {}
-        self._segment = None
         return removed

@@ -29,7 +29,6 @@ from .graph import (
     components,
     induced_subgraph,
     is_cycle_graph,
-    longest_cycle,
     norm_edge,
     simple_paths,
 )
@@ -106,25 +105,38 @@ def _iter_cycles(g: Graph, counter: WorkCounter, max_len: int | None = None):
 def check_long_cycle(
     g: Graph, n: int, counter: WorkCounter | None = None
 ) -> Certificate | None:
-    """A component whose circumference m >= n and which is not the m-cycle."""
+    """A component with a cycle of m >= n vertices that is not the m-cycle.
+
+    An existence search: the witness is the first such cycle found, so `m`
+    is not necessarily the circumference.  Components with fewer than n
+    vertices, and cycle graphs, are skipped unsearched.  Otherwise each
+    vertex a of degree >= 2, in increasing order, anchors the paths through
+    the higher such vertices; a path of >= n vertices whose end is adjacent
+    to a closes the cycle.  Anchoring stops once fewer than n of those
+    vertices remain unblocked.
+    """
     if counter is None:
         counter = WorkCounter()
     for comp in components(g):
-        sub, old_ids = induced_subgraph(g, comp)
-        cycle = longest_cycle(sub, counter)
-        if cycle is None:
+        if len(comp) < n or all(g.degree(v) == 2 for v in comp):
             continue
-        m = len(cycle)
-        if m >= n and not is_cycle_graph(sub):
-            return Certificate(
-                CertificateKind.LONG_CYCLE,
-                0,
-                {
-                    "m": m,
-                    "cycle": [old_ids[v] for v in cycle],
-                    "component": sorted(comp),
-                },
-            )
+        blocked = [v for v in comp if g.degree(v) < 2]
+        anchors = sorted(v for v in comp if g.degree(v) >= 2)
+        for i, a in enumerate(anchors):
+            if len(anchors) - i < n:
+                break
+            for path in simple_paths(g, a, counter, blocked):
+                if len(path) >= n and g.has_edge(path[-1], a):
+                    return Certificate(
+                        CertificateKind.LONG_CYCLE,
+                        0,
+                        {
+                            "m": len(path),
+                            "cycle": path.copy(),
+                            "component": sorted(comp),
+                        },
+                    )
+            blocked.append(a)
     return None
 
 

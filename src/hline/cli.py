@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from .acceptance import run_all
 from .budget import DEFAULT_MAX_ITER, DEFAULT_MAX_ORDER, Budget, ResourceLimitError
@@ -71,10 +73,17 @@ def _budget(args) -> Budget:
     )
 
 
-def _open_cache(args, budget: Budget) -> ClassificationCache | None:
+@contextmanager
+def _open_cache(args, budget: Budget) -> Iterator[ClassificationCache | None]:
+    """The run's cache, or None under --no-cache; closed when the run ends."""
     if args.no_cache:
-        return None
-    return ClassificationCache(getattr(args, "cache_dir", None), TOOL_VERSION, budget)
+        yield None
+        return
+    cache = ClassificationCache(getattr(args, "cache_dir", None), TOOL_VERSION, budget)
+    try:
+        yield cache
+    finally:
+        cache.close()
 
 
 def _emit(payload: dict) -> None:
@@ -121,15 +130,15 @@ def _cmd_family(args) -> int:
 
 def _cmd_search_min(args) -> int:
     budget = _budget(args)
-    cache = _open_cache(args, budget)
-    report = find_minimal_members(
-        args.n,
-        args.vmax,
-        budget,
-        e_max=args.emax,
-        include_unions=args.unions,
-        cache=cache,
-    )
+    with _open_cache(args, budget) as cache:
+        report = find_minimal_members(
+            args.n,
+            args.vmax,
+            budget,
+            e_max=args.emax,
+            include_unions=args.unions,
+            cache=cache,
+        )
     _emit(report.to_json())
     if args.strict and report.counts.get("unknown", 0) > 0:
         return EXIT_BUDGET
@@ -138,8 +147,8 @@ def _cmd_search_min(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     budget = _budget(args)
-    cache = _open_cache(args, budget)
-    report = run_conjecture(args.id, args.n, args.vmax, budget, cache)
+    with _open_cache(args, budget) as cache:
+        report = run_conjecture(args.id, args.n, args.vmax, budget, cache)
     _emit(report.to_json())
     if args.strict and report.undecided:
         return EXIT_BUDGET

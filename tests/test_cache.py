@@ -6,6 +6,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 import hline.cache as cache_module
 from hline.budget import Budget
 from hline.cache import ClassificationCache
@@ -16,8 +18,20 @@ SUMMARY = ClassificationSummary(Outcome.CONVERGED, 2, None)
 OTHER = ClassificationSummary(Outcome.TERMINATED, 3, None)
 
 
+_opened: list[ClassificationCache] = []
+
+
 def cache_at(tmp_path, version="0.1.0", budget=Budget()):
-    return ClassificationCache(tmp_path, version, budget)
+    cache = ClassificationCache(tmp_path, version, budget)
+    _opened.append(cache)
+    return cache
+
+
+@pytest.fixture(autouse=True)
+def close_caches():
+    yield
+    while _opened:
+        _opened.pop().close()
 
 
 def test_put_then_get(tmp_path):
@@ -141,6 +155,28 @@ def test_put_skips_a_record_the_segments_hold(tmp_path):
     cache_at(tmp_path).put("abcd", 5, SUMMARY)
     lines = [line for seg in tmp_path.glob("seg-*.jsonl") for line in seg.read_text().splitlines()]
     assert len(lines) == 1
+
+
+def test_each_put_reaches_the_file_before_it_returns(tmp_path):
+    cache = cache_at(tmp_path)
+    keys = [("abcd", 5), ("abcd", 6), ("beef", 5)]
+    for i, key in enumerate(keys):
+        cache.put(*key, SUMMARY)
+        fresh = cache_at(tmp_path)
+        assert all(fresh.get(*k) == SUMMARY for k in keys[: i + 1])
+    assert len(list(tmp_path.glob("seg-*.jsonl"))) == 1
+
+
+def test_clear_closes_the_segment_and_the_next_put_opens_a_new_one(tmp_path):
+    cache = cache_at(tmp_path)
+    cache.put("abcd", 5, SUMMARY)
+    handle = cache._segment
+    assert cache.clear() == 1
+    assert handle.closed
+    cache.put("beef", 5, SUMMARY)
+    [seg] = tmp_path.glob("seg-*.jsonl")
+    assert len(seg.read_text().splitlines()) == 1
+    assert cache_at(tmp_path).get("beef", 5) == SUMMARY
 
 
 def test_clear(tmp_path):

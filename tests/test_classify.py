@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+from functools import lru_cache
 
 import pytest
 
@@ -25,12 +26,28 @@ from hline.families import (
     make_spider,
     make_tailed_cycle,
 )
-from hline.graph import Graph, canonical_code, disjoint_union, is_isomorphic
+from hline.graph import (
+    Graph,
+    canonical_code,
+    components,
+    disjoint_union,
+    induced_subgraph,
+    is_cycle_graph,
+    is_isomorphic,
+)
 from hline.io import classification_report
 from hline.minimality import enumerate_connected_graphs
 from hline.operator import StopReason, hl_iterate, hl_step
 
-from conftest import naive_connected_graphs
+from conftest import brute_circumference, naive_connected_graphs
+
+
+@pytest.fixture(scope="module")
+def small_reports():
+    """Reports over the connected graphs of order <= 6 at n = 4..7."""
+    graphs = naive_connected_graphs(6)
+    assert len(graphs) == 143
+    return [classification_report(classify(g, n), g) for n in range(4, 8) for g in graphs]
 
 
 class TestLongCycleCheck:
@@ -50,6 +67,31 @@ class TestLongCycleCheck:
         cert = check_long_cycle(g, 5)
         assert cert is not None
         assert verify_certificate(g, 5, cert)
+
+    def test_agrees_with_the_circumference_oracle(self):
+        # every connected graph of order <= 6, alone and after a k-cycle
+        circumference = lru_cache(maxsize=None)(brute_circumference)
+
+        def long_noncycle_component(h: Graph, n: int) -> bool:
+            for comp in components(h):
+                sub, _ = induced_subgraph(h, comp)
+                if not is_cycle_graph(sub) and circumference(sub) >= n:
+                    return True
+            return False
+
+        spent = 0
+        for n in range(4, 9):
+            for g in naive_connected_graphs(6):
+                for h in [g] + [disjoint_union(make_cycle(k), g) for k in range(3, 9)]:
+                    counter = WorkCounter()
+                    cert = check_long_cycle(h, n, counter)
+                    spent += WorkCounter().remaining - counter.remaining
+                    assert (cert is not None) == long_noncycle_component(h, n)
+                    if cert is not None:
+                        assert cert.witness["m"] >= n
+                        assert verify_certificate(h, n, cert)
+        # the circumference-based check spent 66,435 on the same inputs
+        assert spent == 14_455
 
 
 class TestLongTailCheck:
@@ -169,28 +211,40 @@ class TestClassify:
         )
 
     def test_tight_budget_outcome_does_not_depend_on_the_stored_code(self):
+        # C4 is a cycle graph, so the long-cycle check spends nothing on it;
+        # labeling runs out at budgets 34..57
         fresh = make_cycle(4)
         labeled = make_cycle(4)
         canonical_code(labeled)
         for g in (fresh, labeled):
-            c = classify(g, 4, Budget(search_nodes=60))
+            c = classify(g, 4, Budget(search_nodes=45))
             assert c.outcome is Outcome.UNKNOWN
             assert c.unknown_reason == "canon_exhausted"
-        assert classify(fresh, 4, Budget(search_nodes=60)).outcome is Outcome.UNKNOWN
+        assert classify(fresh, 4, Budget(search_nodes=45)).outcome is Outcome.UNKNOWN
         assert classify(fresh, 4).outcome is Outcome.CONVERGED
 
-    def test_reports_on_small_connected_graphs_are_pinned(self):
-        # every report over the connected graphs of order <= 6 at n = 4..7,
-        # as the path searches wrote them before they shared one kernel
+    def test_reports_on_small_connected_graphs_are_pinned(self, small_reports):
+        # every report over the connected graphs of order <= 6 at n = 4..7;
+        # long_cycle witnesses are the first cycle of >= n vertices found
         digest = hashlib.sha256()
-        graphs = naive_connected_graphs(6)
-        for n in range(4, 8):
-            for g in graphs:
-                report = classification_report(classify(g, n), g)
-                digest.update(json.dumps(report, sort_keys=True).encode())
-        assert len(graphs) == 143
+        for report in small_reports:
+            digest.update(json.dumps(report, sort_keys=True).encode())
+        assert len(small_reports) == 572
         assert digest.hexdigest() == (
-            "221cd364460197448d1455fcff65496aed6ef0b15a59856602510d672379eda1"
+            "99a91714983bfab5931399031a35899d3ac3270c317fa70352704c9e38caca8c"
+        )
+
+    def test_decisions_on_small_connected_graphs_are_pinned(self, small_reports):
+        # (outcome, N, certificate kind, unknown reason) of the same reports,
+        # as the longest-cycle check decided them
+        digest = hashlib.sha256()
+        for report in small_reports:
+            cert = report["certificate"]
+            kind = cert["kind"] if cert else None
+            fields = [report["outcome"], report["N"], kind, report["unknown_reason"]]
+            digest.update(json.dumps(fields).encode())
+        assert digest.hexdigest() == (
+            "d9e679355895e5a8113791fed78bbb53d30851d5effc93fe499c7dcfa4cbaf2f"
         )
 
     def test_n_below_four_rejected(self):

@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -207,6 +210,46 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     assert code == EXIT_OK
     code, out, _ = run(capsys, "cache", "stats")
     assert json.loads(out)["entries"] == 0
+
+
+def test_benchmark_sweep_prints_the_pinned_bytes(capsys):
+    # the benchmark's sweep without the cache; measured before the
+    # long-cycle check became an existence search
+    code, out, _ = run(capsys, "search-min", "--n", "5", "--vmax", "7", "--no-cache")
+    assert code == EXIT_OK
+    assert len(out.encode()) == 3432
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f87f3e47b93b78777d36a2f515d5755c685098bed48f12834b0887530e28b350"
+    )
+
+
+def test_second_sweep_on_one_cache_appends_nothing(capsys, tmp_path):
+    cache_dir = tmp_path / "shared"
+    argv = ("--cache-dir", str(cache_dir), "search-min", "--n", "4", "--vmax", "6")
+    code, first, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    segments = [seg.read_text() for seg in cache_dir.glob("seg-*.jsonl")]
+    assert sum(text.count("\n") for text in segments) > 0
+    code, second, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert second == first
+    assert [seg.read_text() for seg in cache_dir.glob("seg-*.jsonl")] == segments
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search-min", "--n", "4", "--vmax", "5"),
+        ("conjecture", "unique-minimal-subgraph", "--n", "4", "--vmax", "5"),
+    ],
+)
+def test_sweeps_leave_no_cache_segment_open(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _, _ = run(capsys, *argv)
+        gc.collect()
+    assert code == EXIT_OK
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_classify_writes_no_cache_segment(capsys, tmp_path):

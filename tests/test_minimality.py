@@ -439,6 +439,7 @@ class TestFindMinimalMembers:
         for hits in (0, 142):
             cache = ClassificationCache(tmp_path, "0.1.0", Budget())
             reports.append(find_minimal_members(4, 6, cache=cache))
+            cache.close()
             assert cache.hits == hits
         assert reports[1].to_json() == reports[0].to_json()
 
@@ -521,12 +522,12 @@ class TestConjectureHarness:
 
     def test_divergence_sweep_reads_the_cache(self, tmp_path):
         budget = Budget(max_iter=1)
-        cold = run_conjecture(
-            "divergence-iff-long-cycle", 5, 6, budget,
-            ClassificationCache(tmp_path, "0.1.0", budget),
-        )
+        cache = ClassificationCache(tmp_path, "0.1.0", budget)
+        cold = run_conjecture("divergence-iff-long-cycle", 5, 6, budget, cache)
+        cache.close()
         cache = ClassificationCache(tmp_path, "0.1.0", budget)
         warm = run_conjecture("divergence-iff-long-cycle", 5, 6, budget, cache)
+        cache.close()
         assert cache.misses == 0 and cache.hits == cold.stats["swept"]
         assert warm.to_json() == cold.to_json()
 
