@@ -79,7 +79,7 @@ def _open_cache(args, budget: Budget) -> Iterator[ClassificationCache | None]:
     if args.no_cache:
         yield None
         return
-    cache = ClassificationCache(getattr(args, "cache_dir", None), TOOL_VERSION, budget)
+    cache = ClassificationCache(args.cache_dir, TOOL_VERSION, budget)
     try:
         yield cache
     finally:
@@ -186,8 +186,15 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> _Parser:
+    cache_dir_help = f"cache location (default {default_cache_dir()})"
     parser = _Parser(prog="hline", description=__doc__)
-    parser.add_argument("--cache-dir", default=None, help=f"cache location (default {default_cache_dir()})")
+    parser.add_argument("--cache-dir", default=None, help=cache_dir_help)
+    # also accepted after the subcommands that use the cache; SUPPRESS
+    # leaves the top-level value in place when it is not given there
+    cache_dir = _Parser(add_help=False)
+    cache_dir.add_argument(
+        "--cache-dir", default=argparse.SUPPRESS, help=cache_dir_help
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hl", help="print iterates with provenance tables")
@@ -208,7 +215,9 @@ def build_parser() -> _Parser:
     p.add_argument("spec")
     p.set_defaults(fn=_cmd_family)
 
-    p = sub.add_parser("search-min", help="sweep for minimally convergent graphs")
+    p = sub.add_parser(
+        "search-min", help="sweep for minimally convergent graphs", parents=[cache_dir]
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--vmax", type=int, required=True)
     p.add_argument("--emax", type=int, default=None)
@@ -218,7 +227,9 @@ def build_parser() -> _Parser:
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(fn=_cmd_search_min)
 
-    p = sub.add_parser("conjecture", help="run a falsification sweep")
+    p = sub.add_parser(
+        "conjecture", help="run a falsification sweep", parents=[cache_dir]
+    )
     p.add_argument("id", choices=CONJECTURE_IDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--vmax", type=int, required=True)
@@ -231,7 +242,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-range", type=_parse_n_range, default=(4, 8))
     p.set_defaults(fn=_cmd_verify_paper)
 
-    p = sub.add_parser("cache", help="cache maintenance")
+    p = sub.add_parser("cache", help="cache maintenance", parents=[cache_dir])
     p.add_argument("action", choices=("stats", "clear"))
     p.set_defaults(fn=_cmd_cache)
 

@@ -16,6 +16,13 @@ subgraph of G lies below a chain of one-edge deletions that do not
 terminate.  The decisions walk those deletions (`proper_subgraphs`,
 `_walk`) and never scan edge subsets.
 
+Read upwards, the lemma says that a graph with a divergent subgraph
+diverges too: HL^k(G) contains HL^k(H), whose order grows without bound.
+Enumeration builds each connected class from a parent class C - w and
+each two-component union from its two parts, all subgraphs of the class,
+so a sweep gives a class the `diverged_by_order` summary of a parent it
+has already decided and does not classify it (`Classifier.summary`).
+
 The conjecture harnesses only ever gather bounded evidence: they report
 candidates with replayable transcripts and never assert the truth or
 falsity of a conjecture.
@@ -84,7 +91,14 @@ def summarize(c: Classification) -> ClassificationSummary:
 
 class Classifier:
     """Classification memoized by canonical code, with an optional
-    persistent cache behind the in-memory memo."""
+    persistent cache behind the in-memory memo.
+
+    A class whose `Graph._parent_codes` name a class the memo holds as
+    `diverged_by_order` inherits that summary and is not classified.
+    Inherited summaries live in the memo only, neither looked up in the
+    cache nor written to it: `classify` on the class itself may report
+    another certificate kind or an earlier step.
+    """
 
     def __init__(self, n: int, budget: Budget, cache=None):
         self.n = n
@@ -97,6 +111,11 @@ class Classifier:
         hit = self.memo.get(code)
         if hit is not None:
             return hit
+        for pcode in g._parent_codes:
+            hit = self.memo.get(pcode)
+            if hit is not None and hit.outcome is Outcome.DIVERGED_BY_ORDER:
+                self.memo[code] = hit
+                return hit
         if self.cache is not None:
             hit = self.cache.get(code.hex(), self.n)
             if hit is not None:
@@ -243,6 +262,9 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     never skipped.  Stored automorphisms need not generate the whole
     group, so one parent can still yield two accepted copies of a class;
     the level dict, keyed by code, keeps the first.
+
+    Each accepted child records the code of its parent, a subgraph class
+    of the child, as `Graph._parent_codes`.
     """
     if e_max is not None and e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
@@ -258,7 +280,7 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     for v in range(2, v_max + 1):
         x = v - 1
         nxt: dict[bytes, Graph] = {}
-        for parent in level.values():
+        for pcode, parent in level.items():
             free = e_max - parent.size
             if free < 1:
                 continue
@@ -286,6 +308,7 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
                             rest, _ = induced_subgraph(child, set(range(v)) - {w})
                             if canonical_code(rest) != canonical_code(parent):
                                 continue
+                    child._parent_codes = (pcode,)
                     nxt[code] = child
         level = nxt
         for code in sorted(level):
@@ -338,7 +361,8 @@ def enumerate_two_component_unions(v_max: int, e_max: int | None = None):
     """Disjoint unions of two connected graphs of order >= 2, combined order
     at most v_max and combined size at most e_max, deduplicated.  Order-1
     parts are excluded: they are isolated vertices, which the minimality
-    decision does not accept."""
+    decision does not accept.  Each union records the codes of its two
+    parts as `Graph._parent_codes`."""
     parts = [g for g in enumerate_connected_graphs(v_max - 2, e_max) if g.order >= 2]
     seen: set[bytes] = set()
     out: list[tuple[bytes, Graph]] = []
@@ -351,6 +375,7 @@ def enumerate_two_component_unions(v_max: int, e_max: int | None = None):
         code = canonical_code(u)
         if code not in seen:
             seen.add(code)
+            u._parent_codes = (canonical_code(a), canonical_code(b))
             out.append((code, u))
     out.sort(key=lambda item: (item[1].order, item[0]))
     for _, u in out:

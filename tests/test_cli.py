@@ -239,6 +239,30 @@ def test_second_sweep_on_one_cache_appends_nothing(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("search-min", "--n", "4", "--vmax", "4"),
+        ("conjecture", "unique-minimal-subgraph", "--n", "4", "--vmax", "4"),
+        ("cache", "stats"),
+    ],
+)
+def test_cache_dir_goes_before_or_after_the_subcommand(argv, tmp_path):
+    parser = cli.build_parser()
+    before = parser.parse_args(["--cache-dir", str(tmp_path), *argv])
+    after = parser.parse_args([*argv, "--cache-dir", str(tmp_path)])
+    assert before.cache_dir == after.cache_dir == str(tmp_path)
+    assert parser.parse_args(list(argv)).cache_dir is None
+
+
+def test_sweep_with_cache_dir_after_the_subcommand(capsys, tmp_path):
+    cache_dir = tmp_path / "after"
+    argv = ("search-min", "--n", "4", "--vmax", "4", "--cache-dir", str(cache_dir))
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert list(cache_dir.glob("seg-*.jsonl"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("search-min", "--n", "4", "--vmax", "5"),
         ("conjecture", "unique-minimal-subgraph", "--n", "4", "--vmax", "5"),
     ],

@@ -20,6 +20,7 @@ from hline.graph import (
     canonical_code,
     components,
     disjoint_union,
+    induced_subgraph,
     is_isomorphic,
 )
 from hline.minimality import (
@@ -34,6 +35,7 @@ from hline.minimality import (
     proper_subgraphs,
     property_suite,
     run_conjecture,
+    summarize,
 )
 from hline.operator import hl_step
 
@@ -49,6 +51,10 @@ from conftest import (
 def deletion_closure(g: Graph, clf: Classifier) -> set[bytes]:
     """Codes of every class the walk reaches from g when it expands all."""
     return {canonical_code(sub) for sub, _ in minimality._walk(g, clf, lambda s: True)}
+
+
+def segment_lines(directory) -> int:
+    return sum(seg.read_text().count("\n") for seg in directory.glob("seg-*.jsonl"))
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +333,83 @@ class TestEnumeration:
             assert len(components(u)) == 2
 
 
+@pytest.fixture(scope="module")
+def outcomes_up_to_7():
+    """classify's own outcome for every connected class of order <= 7, by n
+    and canonical code."""
+    graphs = list(enumerate_connected_graphs(7))
+    return {
+        n: {canonical_code(g): classify(g, n).outcome for g in graphs} for n in (4, 5, 6)
+    }
+
+
+def has_divergent_parent(g: Graph, outcome: dict) -> bool:
+    return any(outcome[p] is Outcome.DIVERGED_BY_ORDER for p in g._parent_codes)
+
+
+class TestDivergenceInheritance:
+    """A class that contains a divergent class diverges too (the lemma in
+    the minimality module docstring), so a sweep gives a class its parent's
+    divergence without classifying it."""
+
+    def test_parents_are_subgraphs(self):
+        for g in enumerate_connected_graphs(7):
+            deletions = {
+                canonical_code(induced_subgraph(g, set(range(g.order)) - {w})[0])
+                for w in range(g.order)
+            }
+            assert len(g._parent_codes) == (g.order > 1)
+            assert set(g._parent_codes) <= deletions
+        for u in enumerate_two_component_unions(7):
+            parts = [canonical_code(induced_subgraph(u, c)[0]) for c in components(u)]
+            assert sorted(u._parent_codes) == sorted(parts)
+
+    @pytest.mark.parametrize("n, count", [(4, 956), (5, 910), (6, 724)])
+    def test_children_of_divergent_parents_diverge(self, n, count, outcomes_up_to_7):
+        outcome = outcomes_up_to_7[n]
+        children = [
+            g for g in enumerate_connected_graphs(7) if has_divergent_parent(g, outcome)
+        ]
+        assert len(children) == count
+        diverged = Outcome.DIVERGED_BY_ORDER
+        assert all(outcome[canonical_code(g)] is diverged for g in children)
+
+    @pytest.mark.parametrize("n, count", [(4, 23), (5, 12)])
+    def test_unions_with_a_divergent_part_diverge(self, n, count, outcomes_up_to_7):
+        outcome = outcomes_up_to_7[n]
+        unions = [
+            u
+            for u in enumerate_two_component_unions(7)
+            if has_divergent_parent(u, outcome)
+        ]
+        assert len(unions) == count
+        assert all(classify(u, n).outcome is Outcome.DIVERGED_BY_ORDER for u in unions)
+
+    def test_cold_sweep_caches_exactly_what_it_classifies(self, tmp_path, monkeypatch):
+        classified: list[Graph] = []
+
+        def counting(g, *args):
+            classified.append(g)
+            return classify(g, *args)
+
+        monkeypatch.setattr(minimality, "classify", counting)
+        cache = ClassificationCache(tmp_path, "0.1.0", Budget())
+        find_minimal_members(5, 7, cache=cache)
+        cache.close()
+        by_code = {canonical_code(g).hex(): g for g in classified}
+        records = [
+            json.loads(line)
+            for seg in tmp_path.glob("seg-*.jsonl")
+            for line in seg.read_text().splitlines()
+        ]
+        # without inheritance the sweep classifies 998 classes
+        assert len(classified) == len(by_code) == len(records) == 88
+        for rec in records:
+            code_hex, n = rec["key"]
+            assert n == 5
+            assert rec["value"] == summarize(classify(by_code[code_hex], 5)).to_json()
+
+
 class TestArmDecomposition:
     def test_tailed_cycle(self):
         dec = arm_decomposition(make_tailed_cycle(2, 4))
@@ -435,12 +518,17 @@ class TestFindMinimalMembers:
                 ]
 
     def test_warm_sweep_reads_the_cache(self, tmp_path):
-        reports = []
-        for hits in (0, 142):
+        # a class that inherits its parent's divergence is neither looked
+        # up nor written, so the warm run reads exactly the cold run's puts
+        caches, reports = [], []
+        for _ in range(2):
             cache = ClassificationCache(tmp_path, "0.1.0", Budget())
             reports.append(find_minimal_members(4, 6, cache=cache))
             cache.close()
-            assert cache.hits == hits
+            caches.append(cache)
+        cold, warm = caches
+        assert cold.hits == 0 and segment_lines(tmp_path) == cold.misses == 28
+        assert warm.hits == cold.misses and warm.misses == 0
         assert reports[1].to_json() == reports[0].to_json()
 
     def test_expected_members_respect_the_edge_bound(self):
@@ -522,13 +610,15 @@ class TestConjectureHarness:
 
     def test_divergence_sweep_reads_the_cache(self, tmp_path):
         budget = Budget(max_iter=1)
-        cache = ClassificationCache(tmp_path, "0.1.0", budget)
-        cold = run_conjecture("divergence-iff-long-cycle", 5, 6, budget, cache)
-        cache.close()
+        cold_cache = ClassificationCache(tmp_path, "0.1.0", budget)
+        cold = run_conjecture("divergence-iff-long-cycle", 5, 6, budget, cold_cache)
+        cold_cache.close()
         cache = ClassificationCache(tmp_path, "0.1.0", budget)
         warm = run_conjecture("divergence-iff-long-cycle", 5, 6, budget, cache)
         cache.close()
-        assert cache.misses == 0 and cache.hits == cold.stats["swept"]
+        # 62 of the 143 swept classes are classified; the rest inherit
+        assert segment_lines(tmp_path) == cold_cache.misses == 62
+        assert cache.misses == 0 and cache.hits == cold_cache.misses
         assert warm.to_json() == cold.to_json()
 
 
