@@ -29,18 +29,24 @@ class Graph:
     def __init__(self, order: int, edges=()):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(order)]
+        normalized = set()
         for u, v in edges:
-            u, v = norm_edge(u, v)
-            if not (0 <= u and v < order):
+            if u > v:
+                u, v = v, u
+            elif u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if u < 0 or v >= order:
                 raise ValueError(f"edge ({u},{v}) out of range for order {order}")
-            adj[u].add(v)
-            adj[v].add(u)
+            normalized.add((u, v))
         self._order = order
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self._edges = tuple(
-            (u, v) for u in range(order) for v in self._adj[u] if u < v
-        )
+        self._edges = tuple(sorted(normalized))
+        # in lexicographic edge order every adjacency list fills up sorted:
+        # first the lower neighbours, then the higher ones
+        adj: list[list[int]] = [[] for _ in range(order)]
+        for u, v in self._edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = tuple(map(tuple, adj))
         self._hash = hash((order, self._edges))
         self._code: bytes | None = None  # set by canonical_code
         self._code_nodes = 0  # the labeling's cost, set with _code
@@ -141,19 +147,24 @@ def _refined_colors(g: Graph) -> list[int]:
     n = g.order
     if n == 0:
         return []
-    sig = [g.degree(v) for v in range(n)]
+    adj = g._adj
+    sig = [len(nbrs) for nbrs in adj]
     rank = {s: i for i, s in enumerate(sorted(set(sig)))}
     colors = [rank[s] for s in sig]
-    while True:
+    # a signature leads with the vertex's colour, so each round refines the
+    # last; a round that adds no class keeps every colour id, and no round
+    # after it changes anything
+    while len(rank) < n:
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(n)
+            (colors[v], tuple(sorted([colors[u] for u in nbrs])))
+            for v, nbrs in enumerate(adj)
         ]
+        classes = len(rank)
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        colors = [rank[s] for s in sigs]
+        if len(rank) == classes:
+            break
+    return colors
 
 
 def _canonical_rows(
@@ -234,7 +245,10 @@ def _canonical_rows(
         cell = cells[pos_class[i]]
         shift = n - i
         bit = 1 << (shift - 1)
-        scored = sorted(((link[v] >> shift, v) for v in cell), reverse=True)
+        if len(cell) == 1:
+            scored = [(link[v] >> shift, v) for v in cell]
+        else:
+            scored = sorted(((link[v] >> shift, v) for v in cell), reverse=True)
         tried: list[int] = []
         orbit: dict[int, int] = {}
         seen_autos = 0
@@ -321,20 +335,13 @@ def canonical_code(g: Graph, *, counter: WorkCounter | None = None) -> bytes:
         counter = WorkCounter(2_000_000)
     before = counter.remaining
     rows, autos, order = _canonical_rows(g, counter)
-    bits = bytearray()
+    # row i holds i bits, its first one highest
     acc = 0
-    nbits = 0
     for i, row in enumerate(rows):
-        for k in range(i - 1, -1, -1):
-            acc = (acc << 1) | ((row >> k) & 1)
-            nbits += 1
-            if nbits == 8:
-                bits.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        bits.append(acc << (8 - nbits))
-    g._code = n.to_bytes(4, "big") + bytes(bits)
+        acc = (acc << i) | row
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 8
+    g._code = n.to_bytes(4, "big") + (acc << pad).to_bytes((nbits + pad) // 8, "big")
     g._code_nodes = before - counter.remaining
     g._automorphisms = autos
     g._canonical_order = order

@@ -263,6 +263,10 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     group, so one parent can still yield two accepted copies of a class;
     the level dict, keyed by code, keeps the first.
 
+    Anchor sets are vertex bit masks (bit a for vertex a), listed once per
+    level in the order of `itertools.combinations` by size, and both
+    filters work on them (`_orbit_minimal`, `_deletion_ties`).
+
     Each accepted child records the code of its parent, a subgraph class
     of the child, as `Graph._parent_codes`.
     """
@@ -279,82 +283,132 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
         yield level[code]
     for v in range(2, v_max + 1):
         x = v - 1
+        masks: list[int] = []
+        ends = [0]  # ends[k]: the number of anchor masks with at most k bits
+        for k in range(1, x + 1):
+            masks += [sum(1 << a for a in subset) for subset in combinations(range(x), k)]
+            ends.append(len(masks))
+        new_edges = [tuple((a, x) for a in range(x) if m >> a & 1) for m in range(1 << x)]
         nxt: dict[bytes, Graph] = {}
         for pcode, parent in level.items():
             free = e_max - parent.size
             if free < 1:
                 continue
             adj = parent._adj
-            autos = parent._automorphisms
-            pieces = [_pieces_without(parent, u) for u in range(x)]
-            for k in range(1, min(free, x) + 1):
-                for subset in combinations(range(x), k):
-                    if any(
-                        tuple(sorted(gamma[a] for a in subset)) < subset
-                        for gamma in autos
-                    ):
-                        continue
-                    ties = _deletion_ties(adj, set(subset), pieces)
-                    if ties is None:
-                        continue
-                    child = Graph(v, parent.edges() + tuple((a, x) for a in subset))
-                    code = canonical_code(child)
-                    if code in nxt:
-                        continue
-                    if ties:
-                        order = child._canonical_order
-                        w = next(u for u in order if u == x or u in ties)
-                        if w != x:
-                            rest, _ = induced_subgraph(child, set(range(v)) - {w})
-                            if canonical_code(rest) != canonical_code(parent):
-                                continue
-                    child._parent_codes = (pcode,)
-                    nxt[code] = child
+            edges = parent.edges()
+            pieces = [_pieces_without(adj, u) for u in range(x)]
+            for m in _orbit_minimal(masks[: ends[min(free, x)]], parent._automorphisms):
+                ties = _deletion_ties(adj, m, pieces)
+                if ties is None:
+                    continue
+                child = Graph(v, edges + new_edges[m])
+                code = canonical_code(child)
+                if code in nxt:
+                    continue
+                if ties:
+                    order = child._canonical_order
+                    w = next(u for u in order if u == x or u in ties)
+                    if w != x:
+                        rest, _ = induced_subgraph(child, set(range(v)) - {w})
+                        if canonical_code(rest) != pcode:
+                            continue
+                child._parent_codes = (pcode,)
+                nxt[code] = child
         level = nxt
         for code in sorted(level):
             yield level[code]
 
 
+def _image_table(gamma: list[int]) -> list[int]:
+    """images[m] is the mask of gamma's image of the vertex set with mask m,
+    for every m below 2 ** len(gamma): the second half of each doubling
+    adds the image of one more vertex."""
+    images = [0]
+    for a in gamma:
+        bit = 1 << a
+        images += [image | bit for image in images]
+    return images
+
+
+def _orbit_minimal(masks: list[int], autos: list[list[int]]) -> list[int]:
+    """The anchor masks, in order, that no permutation in `autos` maps to a
+    set sorting before them.  Two sets of one size first differ, as sorted
+    tuples, at the lowest vertex in just one of them, and the set holding
+    it sorts first; so gamma(S) sorts before S exactly when the lowest set
+    bit of images[S] ^ S lies in images[S]."""
+    for gamma in autos:
+        images = _image_table(gamma)
+        masks = [m for m in masks if not (d := images[m] ^ m) & -d & images[m]]
+    return masks
+
+
 def _deletion_ties(
     adj: tuple[tuple[int, ...], ...],
-    anchors: set[int],
-    pieces: list[list[frozenset[int]]],
+    anchors: int,
+    pieces: list[list[int]],
 ) -> set[int] | None:
     """The degree filter of `enumerate_connected_graphs` on the child that
-    joins a new vertex x to `anchors` in a connected parent with adjacency
-    lists `adj`; pieces[u] holds the components of the parent minus u.
+    joins a new vertex x to the vertices of the mask `anchors` in a
+    connected parent with adjacency lists `adj`; pieces[u] holds the
+    components of the parent minus u as masks.
 
     With f(u) = (degree of u, sorted degrees of its neighbours) in the
     child: None when a non-cut vertex has a smaller f than x, else the
     other non-cut vertices with the same f as x.  The child minus u is the
     parent minus u with x joined to the anchors other than u, so u is a cut
     vertex exactly when some piece of the parent minus u holds no anchor;
-    x never is one.
+    x never is one.  A non-cut vertex of smaller degree than x rejects the
+    child before any neighbour degrees are sorted.
     """
-    x = len(adj)
-    deg = [len(nbrs) + (u in anchors) for u, nbrs in enumerate(adj)]
-    deg.append(len(anchors))
-    fx = (deg[x], sorted(deg[a] for a in anchors))
+    dx = anchors.bit_count()
+    level = []
+    for u, nbrs in enumerate(adj):
+        du = len(nbrs) + (anchors >> u & 1)
+        if du > dx:
+            continue
+        for piece in pieces[u]:
+            if not piece & anchors:
+                break  # u is a cut vertex
+        else:
+            if du < dx:
+                return None
+            level.append(u)
     ties = set()
-    for u in range(x):
-        if deg[u] > deg[x]:
-            continue
+    if not level:
+        return ties
+    deg = [len(nbrs) + (anchors >> u & 1) for u, nbrs in enumerate(adj)]
+    deg.append(dx)
+    fx = sorted([deg[a] for a in range(len(adj)) if anchors >> a & 1])
+    for u in level:
         nbr_degs = [deg[w] for w in adj[u]]
-        if u in anchors:
-            nbr_degs.append(deg[x])
-        fu = (deg[u], sorted(nbr_degs))
-        if fu > fx or any(piece.isdisjoint(anchors) for piece in pieces[u]):
-            continue
-        if fu < fx:
+        if anchors >> u & 1:
+            nbr_degs.append(dx)
+        nbr_degs.sort()
+        if nbr_degs < fx:
             return None
-        ties.add(u)
+        if nbr_degs == fx:
+            ties.add(u)
     return ties
 
 
-def _pieces_without(g: Graph, u: int) -> list[frozenset[int]]:
-    """The components of g - u, as vertex sets of g."""
-    rest, old_ids = induced_subgraph(g, set(range(g.order)) - {u})
-    return [frozenset(old_ids[w] for w in comp) for comp in components(rest)]
+def _pieces_without(adj: tuple[tuple[int, ...], ...], u: int) -> list[int]:
+    """The components of a graph minus u, as vertex masks, for the graph
+    with adjacency lists `adj`; ordered by least vertex."""
+    seen = 1 << u
+    out = []
+    for s in range(len(adj)):
+        if seen >> s & 1:
+            continue
+        piece = 1 << s
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not piece >> w & 1 and w != u:
+                    piece |= 1 << w
+                    stack.append(w)
+        seen |= piece
+        out.append(piece)
+    return out
 
 
 def enumerate_two_component_unions(v_max: int, e_max: int | None = None):
@@ -450,8 +504,8 @@ def _non_unicyclic_components(g: Graph) -> list[tuple[frozenset[int], int]]:
 def _vertex_on_cycle(g: Graph, x: int) -> bool:
     """True iff some cycle of g passes through x: two neighbors of x lie in
     one component of g - x."""
-    nbrs = g.neighbors(x)
-    return any(len(piece.intersection(nbrs)) >= 2 for piece in _pieces_without(g, x))
+    nbrs = sum(1 << w for w in g.neighbors(x))
+    return any((piece & nbrs).bit_count() >= 2 for piece in _pieces_without(g._adj, x))
 
 
 def property_suite(

@@ -104,6 +104,15 @@ class TestGraphValue:
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
 
+    @pytest.mark.parametrize("edge", [(-1, 2), (2, -1)])
+    def test_rejects_negative_endpoints(self, edge):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, [edge])
+
+    def test_self_loop_message_names_the_vertex(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            Graph(3, [(1, 1)])
+
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.size == 1
@@ -157,6 +166,34 @@ class TestCanonicalCode:
         assert digest.hexdigest() == (
             "e76de4efbba65a5c4bb489cc52bf9c2b62d1949b3f322142151d93d62e0b70c3"
         )
+
+    def test_labeling_cost_is_pinned(self):
+        # nodes spent by a fresh labeling of each connected class of order
+        # <= 7; the search's budget behaviour rests on this count
+        total = 0
+        for g in enumerate_connected_graphs(7):
+            fresh = Graph(g.order, g.edges())
+            canonical_code(fresh)
+            total += fresh._code_nodes
+        assert total == 15_390
+
+    def test_code_bytes_beyond_order_7_are_pinned(self):
+        rng = random.Random(814)
+        graphs = [make_cycle(m) for m in range(8, 31)] + [make_path(m) for m in range(8, 31)]
+        graphs += [PETERSEN, matching(7)]
+        for _ in range(50):
+            n = rng.randint(8, 14)
+            p = rng.choice((0.2, 0.35, 0.5))
+            graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+        digest = hashlib.sha256()
+        nodes = 0
+        for g in graphs:
+            digest.update(canonical_code(g))
+            nodes += g._code_nodes
+        assert digest.hexdigest() == (
+            "ea29e4cf1bff562bedf14f851d95572efc7a5786b9b5fb728bef07f1641b588e"
+        )
+        assert nodes == 3_276
 
     @pytest.mark.parametrize("k", [7, 8])
     def test_perfect_matchings_label_under_the_default_counter(self, k):

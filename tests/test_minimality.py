@@ -21,6 +21,7 @@ from hline.graph import (
     components,
     disjoint_union,
     induced_subgraph,
+    is_connected,
     is_isomorphic,
 )
 from hline.minimality import (
@@ -248,8 +249,8 @@ class TestEnumeration:
 
     def test_degree_filter_skips_cut_vertices(self):
         def ties(parent, anchors):
-            pieces = [minimality._pieces_without(parent, u) for u in range(parent.order)]
-            return minimality._deletion_ties(parent._adj, set(anchors), pieces)
+            pieces = [minimality._pieces_without(parent._adj, u) for u in range(parent.order)]
+            return minimality._deletion_ties(parent._adj, anchors, pieces)
 
         # two K4s joined through vertex 4; x = 8 completes the second K4.
         # The cut vertex 4 has the least f, (2, [4, 4]), and is passed over.
@@ -258,10 +259,71 @@ class TestEnumeration:
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)]
             + [(5, 6), (5, 7), (6, 7)],
         )
-        assert ties(parent, (5, 6, 7)) == {1, 2, 3, 6, 7}
-        assert ties(parent, (6,)) == set()  # the only leaf
+        assert ties(parent, 0b11100000) == {1, 2, 3, 6, 7}
+        assert ties(parent, 0b1000000) == set()  # the only leaf
         # joined to the first two vertices of a path, x has degree 2 beside a leaf
-        assert ties(make_path(3), (0, 1)) is None
+        assert ties(make_path(3), 0b11) is None
+
+    def test_deletion_ties_match_the_child(self):
+        # the mask filter against the child itself, whose non-cut vertices
+        # are found by deleting each vertex and testing connectivity
+        parents = naive_connected_graphs(6)
+        checked = 0
+        for parent in parents:
+            x = parent.order
+            adj = parent._adj
+            pieces = [minimality._pieces_without(adj, u) for u in range(x)]
+            for u in range(x):
+                rest, old_ids = induced_subgraph(parent, set(range(x)) - {u})
+                assert pieces[u] == [
+                    sum(1 << old_ids[w] for w in comp) for comp in components(rest)
+                ]
+            for anchors in range(1, 1 << x):
+                child = Graph(
+                    x + 1,
+                    parent.edges() + tuple((a, x) for a in range(x) if anchors >> a & 1),
+                )
+
+                def f(u):
+                    return (child.degree(u), sorted(child.degree(w) for w in child.neighbors(u)))
+
+                non_cut = [
+                    u
+                    for u in range(x + 1)
+                    if is_connected(induced_subgraph(child, set(range(x + 1)) - {u})[0])
+                ]
+                assert x in non_cut
+                if min(f(u) for u in non_cut) < f(x):
+                    expected = None
+                else:
+                    expected = {u for u in non_cut if u != x and f(u) == f(x)}
+                assert minimality._deletion_ties(adj, anchors, pieces) == expected
+                checked += 1
+        assert checked == sum((1 << g.order) - 1 for g in parents)
+
+    def test_orbit_test_matches_sorted_tuples(self):
+        # every stored automorphism of every class of order <= 7, on every
+        # anchor set of its vertices
+        checked = 0
+        for g in enumerate_connected_graphs(7):
+            x = g.order
+            masks = list(range(1, 1 << x))
+            members = {m: tuple(a for a in range(x) if m >> a & 1) for m in masks}
+
+            def earlier(gamma, m):
+                return tuple(sorted(gamma[a] for a in members[m])) < members[m]
+
+            for gamma in g._automorphisms:
+                images = minimality._image_table(gamma)
+                kept = set(minimality._orbit_minimal(masks, [gamma]))
+                for m in masks:
+                    assert images[m] == sum(1 << gamma[a] for a in members[m])
+                    assert (m not in kept) == earlier(gamma, m)
+                checked += 1
+            assert minimality._orbit_minimal(masks, g._automorphisms) == [
+                m for m in masks if not any(earlier(gamma, m) for gamma in g._automorphisms)
+            ]
+        assert checked > 996
 
     # SHA-256 over the representatives, in enumeration order; they are the
     # first child per code that canonical augmentation accepts
@@ -301,7 +363,8 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_connected_graphs(7)) == 996
         # 7,816 children are labeled without any pruning and 4,220 with orbit
         # pruning alone; the degree filter leaves 1,030 children, 12 deletion
-        # labelings and their 12 parent lookups, and the order-1 class
+        # labelings, compared with the parent's stored code, and the order-1
+        # class
         assert calls <= 1_100
 
     def test_edge_bound_respected(self):
