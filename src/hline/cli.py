@@ -132,12 +132,7 @@ def _cmd_search_min(args) -> int:
     budget = _budget(args)
     with _open_cache(args, budget) as cache:
         report = find_minimal_members(
-            args.n,
-            args.vmax,
-            budget,
-            e_max=args.emax,
-            include_unions=args.unions,
-            cache=cache,
+            args.n, args.vmax, budget, e_max=args.emax, cache=cache
         )
     _emit(report.to_json())
     if args.strict and report.counts.get("unknown", 0) > 0:
@@ -221,7 +216,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--vmax", type=int, required=True)
     p.add_argument("--emax", type=int, default=None)
-    p.add_argument("--unions", action="store_true")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--no-cache", action="store_true")

@@ -52,7 +52,7 @@ class Graph:
         self._code_nodes = 0  # the labeling's cost, set with _code
         self._automorphisms: list[list[int]] = []  # set with _code
         self._canonical_order: list[int] = []  # set with _code
-        self._parent_codes: tuple[bytes, ...] = ()  # set by enumeration
+        self._parent_code: bytes | None = None  # set by enumeration
 
     @property
     def order(self) -> int:

@@ -18,10 +18,16 @@ terminate.  The decisions walk those deletions (`proper_subgraphs`,
 
 Read upwards, the lemma says that a graph with a divergent subgraph
 diverges too: HL^k(G) contains HL^k(H), whose order grows without bound.
-Enumeration builds each connected class from a parent class C - w and
-each two-component union from its two parts, all subgraphs of the class,
-so a sweep gives a class the `diverged_by_order` summary of a parent it
-has already decided and does not classify it (`Classifier.summary`).
+Enumeration builds each connected class from a parent class C - w, a
+subgraph of the class, so a sweep gives a class the `diverged_by_order`
+summary of a parent it has already decided and does not classify it
+(`Classifier.summary`).
+
+Sweeps visit connected classes only.  Every n-vertex path lies in one
+component, so HL(A + B) = HL(A) + HL(B): a convergent union of two parts
+with edges has a convergent part, a proper subgraph, so no union is
+minimal, and a union with one convergent part has that part's minimal
+subgraph classes.
 
 The conjecture harnesses only ever gather bounded evidence: they report
 candidates with replayable transcripts and never assert the truth or
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .budget import Budget, ResourceLimitError
 from .classify import Classification, Outcome, check_long_cycle, classify
@@ -42,7 +48,6 @@ from .graph import (
     canonical_code,
     circumference,
     components,
-    disjoint_union,
     girth,
     induced_subgraph,
     is_connected,
@@ -93,7 +98,7 @@ class Classifier:
     """Classification memoized by canonical code, with an optional
     persistent cache behind the in-memory memo.
 
-    A class whose `Graph._parent_codes` name a class the memo holds as
+    A class whose `Graph._parent_code` names a class the memo holds as
     `diverged_by_order` inherits that summary and is not classified.
     Inherited summaries live in the memo only, neither looked up in the
     cache nor written to it: `classify` on the class itself may report
@@ -111,11 +116,10 @@ class Classifier:
         hit = self.memo.get(code)
         if hit is not None:
             return hit
-        for pcode in g._parent_codes:
-            hit = self.memo.get(pcode)
-            if hit is not None and hit.outcome is Outcome.DIVERGED_BY_ORDER:
-                self.memo[code] = hit
-                return hit
+        hit = self.memo.get(g._parent_code)
+        if hit is not None and hit.outcome is Outcome.DIVERGED_BY_ORDER:
+            self.memo[code] = hit
+            return hit
         if self.cache is not None:
             hit = self.cache.get(code.hex(), self.n)
             if hit is not None:
@@ -268,7 +272,7 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     filters work on them (`_orbit_minimal`, `_deletion_ties`).
 
     Each accepted child records the code of its parent, a subgraph class
-    of the child, as `Graph._parent_codes`.
+    of the child, as `Graph._parent_code`.
     """
     if e_max is not None and e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
@@ -312,7 +316,7 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
                         rest, _ = induced_subgraph(child, set(range(v)) - {w})
                         if canonical_code(rest) != pcode:
                             continue
-                child._parent_codes = (pcode,)
+                child._parent_code = pcode
                 nxt[code] = child
         level = nxt
         for code in sorted(level):
@@ -409,31 +413,6 @@ def _pieces_without(adj: tuple[tuple[int, ...], ...], u: int) -> list[int]:
         seen |= piece
         out.append(piece)
     return out
-
-
-def enumerate_two_component_unions(v_max: int, e_max: int | None = None):
-    """Disjoint unions of two connected graphs of order >= 2, combined order
-    at most v_max and combined size at most e_max, deduplicated.  Order-1
-    parts are excluded: they are isolated vertices, which the minimality
-    decision does not accept.  Each union records the codes of its two
-    parts as `Graph._parent_codes`."""
-    parts = [g for g in enumerate_connected_graphs(v_max - 2, e_max) if g.order >= 2]
-    seen: set[bytes] = set()
-    out: list[tuple[bytes, Graph]] = []
-    for a, b in combinations_with_replacement(parts, 2):
-        if a.order + b.order > v_max:
-            continue
-        if e_max is not None and a.size + b.size > e_max:
-            continue
-        u = disjoint_union(a, b)
-        code = canonical_code(u)
-        if code not in seen:
-            seen.add(code)
-            u._parent_codes = (canonical_code(a), canonical_code(b))
-            out.append((code, u))
-    out.sort(key=lambda item: (item[1].order, item[0]))
-    for _, u in out:
-        yield u
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +647,6 @@ class SearchReport:
     n: int
     v_max: int
     e_max: int | None
-    include_unions: bool
     records: list[MinimalityRecord]  # minimal or undecided graphs only
     counts: dict[str, int]
     expected_missing: list[str]  # family members that failed to show as minimal
@@ -678,7 +656,6 @@ class SearchReport:
             "n": self.n,
             "v_max": self.v_max,
             "e_max": self.e_max,
-            "include_unions": self.include_unions,
             "records": [r.to_json() for r in self.records],
             "counts": self.counts,
             "expected_missing": self.expected_missing,
@@ -689,20 +666,13 @@ def _graph_json(g: Graph) -> dict:
     return {"order": g.order, "edges": [list(e) for e in g.edges()]}
 
 
-def _swept_graphs(v_max: int, e_max: int | None, unions: bool):
-    """The classes a sweep visits: connected graphs, then optionally the
-    disjoint unions of two connected graphs."""
-    yield from enumerate_connected_graphs(v_max, e_max)
-    if unions:
-        yield from enumerate_two_component_unions(v_max, e_max)
-
-
 def _decide(
     g: Graph, clf: Classifier, counts: dict[str, int]
 ) -> MinimalityResult | None:
     """The minimality decision for one swept class, tallied in `counts`;
-    None for the order-1 class, which has nothing to decide."""
-    if any(g.degree(v) == 0 for v in range(g.order)):
+    None for the order-1 class, which has nothing to decide.  Swept classes
+    are connected, so no other class has an isolated vertex."""
+    if g.order == 1:
         return None
     counts["swept"] += 1
     decision = minimality_decision(g, clf.n, clf.budget, clf)
@@ -715,10 +685,9 @@ def find_minimal_members(
     v_max: int,
     budget: Budget = Budget(),
     e_max: int | None = None,
-    include_unions: bool = False,
     cache=None,
 ) -> SearchReport:
-    """Sweep every enumerated graph class and keep the minimal or undecided
+    """Sweep every connected graph class and keep the minimal or undecided
     ones, then confirm the known minimal families showed up.
 
     Expected as minimal: every tailed cycle of total order n and every
@@ -729,7 +698,7 @@ def find_minimal_members(
     records: list[MinimalityRecord] = []
     counts = {"swept": 0, "yes": 0, "no": 0, "unknown": 0}
     status_by_code: dict[str, str] = {}
-    for g in _swept_graphs(v_max, e_max, include_unions):
+    for g in enumerate_connected_graphs(v_max, e_max):
         decision = _decide(g, clf, counts)
         if decision is None:
             continue
@@ -761,7 +730,7 @@ def find_minimal_members(
     ]
 
     records.sort(key=lambda r: (r.order, r.size, r.code_hex))
-    return SearchReport(n, v_max, e_max, include_unions, records, counts, missing)
+    return SearchReport(n, v_max, e_max, records, counts, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +790,7 @@ def run_conjecture(
     budget: Budget = Budget(),
     cache=None,
 ) -> ConjectureReport:
-    """Run one falsification sweep over the enumerated graph classes.
+    """Run one falsification sweep over the connected graph classes.
 
     The conjecture's predicate sees each class and returns a candidate,
     None, or _UNDECIDED.  Candidates are re-checked from fresh
@@ -836,7 +805,7 @@ def run_conjecture(
     stats = dict.fromkeys(harness.stats, 0)
     candidates: list[ConjectureCandidate] = []
     undecided = False
-    for g in _swept_graphs(v_max, None, harness.unions):
+    for g in enumerate_connected_graphs(v_max):
         verdict = harness.predicate(g, clf, stats)
         if verdict is _UNDECIDED:
             undecided = True
@@ -908,7 +877,8 @@ def _minimal_not_unicyclic(g: Graph, clf: Classifier, stats: dict):
 
 def _not_unique_minimal(g: Graph, clf: Classifier, stats: dict):
     """Each convergent graph that is not a union of two convergent graphs
-    should contain exactly one minimal class among its subgraph classes."""
+    should contain exactly one minimal class among its subgraph classes.
+    The sweep sees connected classes only, and each meets that hypothesis."""
     stats["swept"] += 1
     top = clf.summary(g)
     if top.outcome is Outcome.UNKNOWN:
@@ -916,13 +886,6 @@ def _not_unique_minimal(g: Graph, clf: Classifier, stats: dict):
     if top.outcome is not Outcome.CONVERGED:
         return None
     stats["converged"] += 1
-    comps = components(g)
-    if len(comps) == 2:
-        halves = [clf.summary(induced_subgraph(g, comp)[0]).outcome for comp in comps]
-        if any(o is Outcome.UNKNOWN for o in halves):
-            return _UNDECIDED
-        if all(o is Outcome.CONVERGED for o in halves):
-            return None  # hypothesis of the conjecture excludes this graph
     stats["checked"] += 1
     minimal_classes, undecided = _minimal_classes(g, clf)
     if undecided:
@@ -963,7 +926,6 @@ def _minimal_classes(g: Graph, clf: Classifier) -> tuple[list[Graph], bool]:
 class _Harness:
     predicate: Callable[[Graph, Classifier, dict], ConjectureCandidate | str | None]
     stats: tuple[str, ...]  # report counters, in report order
-    unions: bool = False  # also sweep two-component unions
     refuting: bool = True  # whether a candidate counts as a counterexample
 
 
@@ -972,10 +934,10 @@ _HARNESSES = {
         _divergence_without_long_cycle, ("swept", "unknown"), refuting=False
     ),
     "minimal-implies-unicyclic": _Harness(
-        _minimal_not_unicyclic, ("swept", "yes", "no", "unknown"), unions=True
+        _minimal_not_unicyclic, ("swept", "yes", "no", "unknown")
     ),
     "unique-minimal-subgraph": _Harness(
-        _not_unique_minimal, ("swept", "converged", "checked"), unions=True
+        _not_unique_minimal, ("swept", "converged", "checked")
     ),
 }
 CONJECTURE_IDS = tuple(_HARNESSES)

@@ -6,14 +6,14 @@ subset scans) so they stay independent of the search strategies they check.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from hline import cli, minimality
 from hline.acceptance import _iter_simple_paths_of_order
 from hline.classify import Outcome
-from hline.graph import Edge, Graph, canonical_code, norm_edge
+from hline.graph import Edge, Graph, canonical_code, disjoint_union, norm_edge
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -111,6 +111,21 @@ def naive_connected_graphs(v_max: int, e_max: int | None = None) -> list[Graph]:
         level = [children[code] for code in sorted(children)]
         out.extend(level)
     return out
+
+
+def two_component_unions(v_max: int) -> list[Graph]:
+    """One representative per isomorphism class of disjoint unions of two
+    connected graphs of order >= 2 and combined order at most v_max,
+    ordered by order, then code.  Sweeps leave unions out (see the
+    minimality module docstring); these check that they may."""
+    connected = minimality.enumerate_connected_graphs(v_max - 2)
+    parts = [g for g in connected if g.order >= 2]
+    unions: dict[bytes, Graph] = {}
+    for a, b in combinations_with_replacement(parts, 2):
+        if a.order + b.order <= v_max:
+            u = disjoint_union(a, b)
+            unions.setdefault(canonical_code(u), u)
+    return sorted(unions.values(), key=lambda u: (u.order, canonical_code(u)))
 
 
 def naive_proper_subgraphs(g: Graph):

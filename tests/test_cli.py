@@ -176,6 +176,37 @@ def test_search_min_report(capsys):
     assert report["expected_missing"] == []
 
 
+def test_unions_flag_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "search-min", "--n", "4", "--vmax", "5", "--unions")
+    assert code == EXIT_USAGE
+    assert out == "" and "--unions" in err
+
+
+def test_search_min_report_has_no_union_key(capsys):
+    code, out, _ = run(capsys, "search-min", "--n", "4", "--vmax", "5", "--no-cache")
+    assert code == EXIT_OK
+    assert "include_unions" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "conjecture, stats",
+    [
+        ("minimal-implies-unicyclic", {"swept": 995, "yes": 5, "no": 990, "unknown": 0}),
+        ("unique-minimal-subgraph", {"swept": 996, "converged": 5, "checked": 5}),
+    ],
+)
+def test_conjecture_sweeps_count_connected_classes(capsys, conjecture, stats):
+    # 996 connected classes of order <= 7; the order-1 class has no
+    # minimality decision
+    code, out, _ = run(
+        capsys, "conjecture", conjecture, "--n", "4", "--vmax", "7", "--no-cache"
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["stats"] == stats
+    assert report["status"] == "no-counterexample-within-bounds"
+
+
 def test_conjecture_report(capsys):
     code, out, _ = run(
         capsys, "conjecture", "minimal-implies-unicyclic", "--n", "4", "--vmax", "5"
@@ -214,12 +245,13 @@ def test_cache_stats_and_clear(capsys, tmp_path):
 
 def test_benchmark_sweep_prints_the_pinned_bytes(capsys):
     # the benchmark's sweep without the cache; measured before the
-    # long-cycle check became an existence search
+    # long-cycle check became an existence search, then with the line
+    # `"include_unions": false,` dropped from the report
     code, out, _ = run(capsys, "search-min", "--n", "5", "--vmax", "7", "--no-cache")
     assert code == EXIT_OK
-    assert len(out.encode()) == 3432
+    assert len(out.encode()) == 3405
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f87f3e47b93b78777d36a2f515d5755c685098bed48f12834b0887530e28b350"
+        "d87621a6d0c0ef7823c75c7fcd17541a64dcd3a8411fee85d435df84334fe7e8"
     )
 
 

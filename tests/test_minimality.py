@@ -29,7 +29,6 @@ from hline.minimality import (
     Classifier,
     arm_decomposition,
     enumerate_connected_graphs,
-    enumerate_two_component_unions,
     find_minimal_members,
     is_minimally_convergent,
     minimality_decision,
@@ -46,6 +45,7 @@ from conftest import (
     naive_minimal_classes,
     naive_minimality,
     naive_proper_subgraphs,
+    two_component_unions,
 )
 
 
@@ -60,8 +60,9 @@ def segment_lines(directory) -> int:
 
 @pytest.fixture(scope="module")
 def classes_up_to_7():
-    """Every class a sweep decides at order <= 7, unions included."""
-    graphs = list(enumerate_connected_graphs(7)) + list(enumerate_two_component_unions(7))
+    """Every class a sweep decides at order <= 7, and the 45 two-component
+    unions of that order, which `minimality_decision` still accepts."""
+    graphs = list(enumerate_connected_graphs(7)) + two_component_unions(7)
     return [g for g in graphs if g.order > 1]
 
 
@@ -339,7 +340,7 @@ class TestEnumeration:
                 "691ac8f03b5fa47e82fc19babb90ddb9c4f4ab896aabac7b51c82e37ab0c1e06",
             ),
             (
-                enumerate_two_component_unions, (8,), 220,
+                two_component_unions, (8,), 220,
                 "46d28ef6b2c88633c5c35c83b1e68515bab7eb3265b4d3d7575641ed4be15152",
             ),
         ],
@@ -380,21 +381,6 @@ class TestEnumeration:
         second = [canonical_code(g) for g in enumerate_connected_graphs(5)]
         assert first == second
 
-    def test_unions_respect_the_edge_bound(self):
-        for v_max, e_max in ((6, 3), (7, 4), (8, 5)):
-            unions = list(enumerate_two_component_unions(v_max, e_max))
-            assert unions and all(u.size <= e_max for u in unions)
-            assert {canonical_code(u) for u in unions} == {
-                canonical_code(u)
-                for u in enumerate_two_component_unions(v_max)
-                if u.size <= e_max
-            }
-
-    def test_unions_exclude_isolated_vertices(self):
-        for u in enumerate_two_component_unions(6):
-            assert all(u.degree(v) > 0 for v in range(u.order))
-            assert len(components(u)) == 2
-
 
 @pytest.fixture(scope="module")
 def outcomes_up_to_7():
@@ -407,7 +393,7 @@ def outcomes_up_to_7():
 
 
 def has_divergent_parent(g: Graph, outcome: dict) -> bool:
-    return any(outcome[p] is Outcome.DIVERGED_BY_ORDER for p in g._parent_codes)
+    return outcome.get(g._parent_code) is Outcome.DIVERGED_BY_ORDER
 
 
 class TestDivergenceInheritance:
@@ -421,11 +407,8 @@ class TestDivergenceInheritance:
                 canonical_code(induced_subgraph(g, set(range(g.order)) - {w})[0])
                 for w in range(g.order)
             }
-            assert len(g._parent_codes) == (g.order > 1)
-            assert set(g._parent_codes) <= deletions
-        for u in enumerate_two_component_unions(7):
-            parts = [canonical_code(induced_subgraph(u, c)[0]) for c in components(u)]
-            assert sorted(u._parent_codes) == sorted(parts)
+            assert (g._parent_code is None) == (g.order == 1)
+            assert g.order == 1 or g._parent_code in deletions
 
     @pytest.mark.parametrize("n, count", [(4, 956), (5, 910), (6, 724)])
     def test_children_of_divergent_parents_diverge(self, n, count, outcomes_up_to_7):
@@ -440,13 +423,17 @@ class TestDivergenceInheritance:
     @pytest.mark.parametrize("n, count", [(4, 23), (5, 12)])
     def test_unions_with_a_divergent_part_diverge(self, n, count, outcomes_up_to_7):
         outcome = outcomes_up_to_7[n]
+        diverged = Outcome.DIVERGED_BY_ORDER
         unions = [
             u
-            for u in enumerate_two_component_unions(7)
-            if has_divergent_parent(u, outcome)
+            for u in two_component_unions(7)
+            if any(
+                outcome[canonical_code(induced_subgraph(u, c)[0])] is diverged
+                for c in components(u)
+            )
         ]
         assert len(unions) == count
-        assert all(classify(u, n).outcome is Outcome.DIVERGED_BY_ORDER for u in unions)
+        assert all(classify(u, n).outcome is diverged for u in unions)
 
     def test_cold_sweep_caches_exactly_what_it_classifies(self, tmp_path, monkeypatch):
         classified: list[Graph] = []
@@ -471,6 +458,41 @@ class TestDivergenceInheritance:
             code_hex, n = rec["key"]
             assert n == 5
             assert rec["value"] == summarize(classify(by_code[code_hex], 5)).to_json()
+
+
+@pytest.fixture(scope="module")
+def unions_up_to_8():
+    return two_component_unions(8)
+
+
+class TestUnionsNeedNoSweep:
+    """No union is minimal, and a union with one convergent part has that
+    part's minimal classes (the minimality module docstring), so sweeps
+    visit connected classes only."""
+
+    @pytest.mark.parametrize("n, count", [(4, 14), (5, 14), (6, 8)])
+    def test_unions_add_no_minimal_class(self, n, count, unions_up_to_8):
+        assert len(unions_up_to_8) == 220
+        clf = Classifier(n, Budget())
+        checked = 0
+        for u in unions_up_to_8:
+            assert minimality_decision(u, n, classifier=clf).status == "no"
+            if clf.summary(u).outcome is not Outcome.CONVERGED:
+                continue
+            parts = [induced_subgraph(u, c)[0] for c in components(u)]
+            convergent = [
+                p for p in parts if clf.summary(p).outcome is Outcome.CONVERGED
+            ]
+            if len(convergent) != 1:
+                continue
+            mine, undecided = minimality._minimal_classes(u, clf)
+            theirs, part_undecided = minimality._minimal_classes(convergent[0], clf)
+            assert not undecided and not part_undecided
+            assert sorted(map(canonical_code, mine)) == sorted(
+                map(canonical_code, theirs)
+            )
+            checked += 1
+        assert checked == count
 
 
 class TestArmDecomposition:
@@ -610,9 +632,26 @@ class TestFindMinimalMembers:
             "C5",
         ]
 
-    def test_union_sweep_runs(self):
-        report = find_minimal_members(4, 6, include_unions=True)
-        assert report.counts["swept"] > find_minimal_members(4, 6).counts["swept"]
+    def test_decide_scans_no_degrees(self, monkeypatch):
+        # swept classes are connected: only the order-1 class has an
+        # isolated vertex, and its order says so
+        calls = 0
+        degree = Graph.degree
+
+        def counting(self, v):
+            nonlocal calls
+            calls += 1
+            return degree(self, v)
+
+        decided = minimality.MinimalityResult("no", None)
+        monkeypatch.setattr(minimality, "minimality_decision", lambda *args: decided)
+        monkeypatch.setattr(Graph, "degree", counting)
+        clf = Classifier(4, Budget())
+        counts = Counter()
+        for g in enumerate_connected_graphs(6):
+            minimality._decide(g, clf, counts)
+        assert calls == 0
+        assert counts["swept"] == 142
 
 
 class TestConjectureHarness:
