@@ -144,40 +144,37 @@ def check_long_tail(
     g: Graph, n: int, counter: WorkCounter | None = None,
     max_cycle_len: int | None = None,
 ) -> Certificate | None:
-    """A tailed-cycle subgraph with m + r > n, maximizing m + r.
+    """A tailed-cycle subgraph with m + r > n.
 
-    `max_cycle_len` restricts the cycle search; the classifier passes n - 1
-    because the long-cycle check has already disposed of every component
-    holding a cycle of length >= n that is not the whole component.
+    An existence search: the witness is the first one found, with the
+    shortest tail that suffices, r = max(n - m, 0) + 1, so m + r is
+    max(m, n) + 1 and not necessarily the largest total.  Tails are
+    searched only to that order.  `max_cycle_len` restricts the cycle
+    search; the classifier passes n - 1 because the long-cycle check has
+    already disposed of every component holding a cycle of length >= n
+    that is not the whole component.
     """
     if counter is None:
         counter = WorkCounter()
-    best: Certificate | None = None
-    best_total = n
     for cycle in _iter_cycles(g, counter, max_cycle_len):
         m = len(cycle)
+        reach = max(n - m, 0) + 2  # the attachment vertex, then r tail vertices
         on_cycle = set(cycle)
         for v in cycle:
-            # the first longest simple path from v off the cycle
-            tail_path = [v]
-            for path in simple_paths(g, v, counter, on_cycle):
-                if len(path) > len(tail_path):
-                    tail_path = path.copy()
-            r = len(tail_path) - 1
-            if r >= 1 and m + r > best_total:
-                best_total = m + r
-                best = Certificate(
-                    CertificateKind.LONG_TAIL,
-                    0,
-                    {
-                        "m": m,
-                        "r": r,
-                        "cycle": cycle,
-                        "attach": v,
-                        "tail": tail_path[1:],
-                    },
-                )
-    return best
+            for path in simple_paths(g, v, counter, on_cycle, reach):
+                if len(path) == reach:
+                    return Certificate(
+                        CertificateKind.LONG_TAIL,
+                        0,
+                        {
+                            "m": m,
+                            "r": reach - 1,
+                            "cycle": cycle,
+                            "attach": v,
+                            "tail": path[1:],
+                        },
+                    )
+    return None
 
 
 def _spider_parameter_range(n: int) -> list[int]:

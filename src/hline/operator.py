@@ -37,25 +37,23 @@ def _two_disjoint_extensions(
     start2, whose vertices past their starts avoid `base` and number
     `total` together?
 
-    Tries every split a + b = total: each path from start1 with a further
-    vertices is tried with every path from start2 with b further vertices
-    that avoids it.  A vertex set for which the start2 side failed is
+    One pass over the paths from start1 with at most `total` further
+    vertices: a path with a further vertices fixes the split, and is tried
+    with every path from start2 with b = total - a further vertices that
+    avoids it.  A vertex set for which the start2 side failed is
     remembered, so another start1 path over the same vertices is not
-    tried again.
+    tried again; the set's size fixes a, so the memo is exact.
     """
-    for a in range(total + 1):
-        b = total - a
-        failed: set[frozenset[int]] = set()
-        for left in simple_paths(g, start1, counter, base, a + 1):
-            if len(left) <= a:
-                continue
-            key = frozenset(left)
-            if key in failed:
-                continue
-            for right in simple_paths(g, start2, counter, base | key, b + 1):
-                if len(right) > b:
-                    return True
-            failed.add(key)
+    failed: set[frozenset[int]] = set()
+    for left in simple_paths(g, start1, counter, base, total + 1):
+        b = total + 1 - len(left)
+        key = frozenset(left)
+        if key in failed:
+            continue
+        for right in simple_paths(g, start2, counter, base | key, b + 1):
+            if len(right) > b:
+                return True
+        failed.add(key)
     return False
 
 

@@ -61,6 +61,28 @@ def brute_cycle_lengths(g: Graph) -> list[int]:
     return sorted(lengths)
 
 
+def brute_tailed_cycle_totals(g: Graph) -> dict[int, int]:
+    """For each cycle length m that carries a pendant path of r >= 1
+    vertices off the cycle, the largest m + r, via permutation scans of the
+    cycle and of the tail."""
+    totals: dict[int, int] = {}
+    for size in range(3, g.order):
+        for subset in combinations(range(g.order), size):
+            if not any(
+                all(g.has_edge(ring[i], ring[(i + 1) % size]) for i in range(size))
+                for ring in ((subset[0], *perm) for perm in permutations(subset[1:]))
+            ):
+                continue
+            outside = [v for v in range(g.order) if v not in subset]
+            for r in range(1, len(outside) + 1):
+                for tail in permutations(outside, r):
+                    if any(g.has_edge(c, tail[0]) for c in subset) and all(
+                        g.has_edge(tail[i], tail[i + 1]) for i in range(r - 1)
+                    ):
+                        totals[size] = max(totals.get(size, 0), size + r)
+    return totals
+
+
 def brute_circumference(g: Graph) -> int:
     lengths = brute_cycle_lengths(g)
     return lengths[-1] if lengths else 0

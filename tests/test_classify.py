@@ -39,7 +39,7 @@ from hline.io import classification_report
 from hline.minimality import enumerate_connected_graphs
 from hline.operator import StopReason, hl_iterate, hl_step
 
-from conftest import brute_circumference, naive_connected_graphs
+from conftest import brute_circumference, brute_tailed_cycle_totals, naive_connected_graphs
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +107,38 @@ class TestLongTailCheck:
     def test_pure_cycle_has_no_tail(self):
         assert check_long_tail(make_cycle(6), 4) is None
 
-    def test_witness_is_maximal(self):
+    def test_witness_has_the_shortest_tail_that_suffices(self):
         cert = check_long_tail(make_tailed_cycle(4, 3), 4)
         assert cert is not None
-        assert cert.witness["m"] + cert.witness["r"] == 7
+        assert cert.witness["m"] == 3 and cert.witness["r"] == 2
+        assert verify_certificate(make_tailed_cycle(4, 3), 4, cert)
+
+    def test_agrees_with_the_tailed_cycle_oracle(self):
+        # every connected graph of order <= 6, alone and beside a k-cycle,
+        # with and without the classifier's cycle-length cap
+        totals = lru_cache(maxsize=None)(brute_tailed_cycle_totals)
+        hits = 0
+        for n in range(4, 9):
+            for g in naive_connected_graphs(6):
+                for h in [g] + [disjoint_union(make_cycle(k), g) for k in range(3, 9)]:
+                    by_length: dict[int, int] = {}
+                    for comp in components(h):
+                        for m, total in totals(induced_subgraph(h, comp)[0]).items():
+                            by_length[m] = max(by_length.get(m, 0), total)
+                    for cap in (None, n - 1):
+                        cert = check_long_tail(h, n, max_cycle_len=cap)
+                        exists = any(
+                            total > n
+                            for m, total in by_length.items()
+                            if cap is None or m <= cap
+                        )
+                        assert (cert is not None) == exists
+                        if cert is not None:
+                            hits += 1
+                            w = cert.witness
+                            assert w["m"] + w["r"] == max(w["m"], n) + 1
+                            assert verify_certificate(h, n, cert)
+        assert hits > 0
 
 
 class TestSpiderCheck:
@@ -225,13 +253,14 @@ class TestClassify:
 
     def test_reports_on_small_connected_graphs_are_pinned(self, small_reports):
         # every report over the connected graphs of order <= 6 at n = 4..7;
-        # long_cycle witnesses are the first cycle of >= n vertices found
+        # long_cycle witnesses are the first cycle of >= n vertices found,
+        # long_tail witnesses the first tailed cycle with m + r > n
         digest = hashlib.sha256()
         for report in small_reports:
             digest.update(json.dumps(report, sort_keys=True).encode())
         assert len(small_reports) == 572
         assert digest.hexdigest() == (
-            "99a91714983bfab5931399031a35899d3ac3270c317fa70352704c9e38caca8c"
+            "3451219b9c15b1425f5bb7ce8a9f3cf3029c852c0a3e8dd0fded101fad3070ac"
         )
 
     def test_decisions_on_small_connected_graphs_are_pinned(self, small_reports):

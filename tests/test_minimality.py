@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
-from hline import minimality
+from hline import minimality, operator
 from hline.budget import Budget, ResourceLimitError
 from hline.cache import ClassificationCache
-from hline.classify import Outcome, classify
+from hline.classify import Outcome, check_long_cycle, classify
 from hline.families import (
     make_cycle,
     make_path,
@@ -37,7 +37,7 @@ from hline.minimality import (
     run_conjecture,
     summarize,
 )
-from hline.operator import hl_step
+from hline.operator import edge_in_pn, hl_step
 
 from conftest import (
     all_labeled_graphs,
@@ -557,6 +557,29 @@ class TestPropertySuite:
         report = property_suite(make_spider(1, 1, 1), 4)
         assert all(r.status == "skip" for r in report.results.values())
 
+    def test_missing_edges_are_the_isolated_vertices_of_the_image(self):
+        # an edge lies on an n-vertex path iff it is path-adjacent to another
+        graphs = list(enumerate_connected_graphs(7))
+        assert len(graphs) == 996
+        for n in range(4, 8):
+            for g in graphs:
+                h = hl_step(g, n)
+                isolated = [e for i, e in enumerate(h.provenance) if h.graph.degree(i) == 0]
+                assert isolated == [e for e in g.edges() if not edge_in_pn(g, e, n)]
+
+    def test_suite_runs_no_edge_in_pn_search(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return edge_in_pn(*args, **kwargs)
+
+        for module in (operator, minimality):
+            monkeypatch.setattr(module, "edge_in_pn", counting, raising=False)
+        for g in (make_cycle(6), make_tailed_cycle(2, 4), make_spider(1, 1, 1)):
+            property_suite(g, 6)
+        assert calls == []
+
     def test_vertex_on_cycle_matches_networkx_cycle_basis(self):
         nx = pytest.importorskip("networkx")
         for g in enumerate_connected_graphs(6):
@@ -709,6 +732,27 @@ class TestConjectureHarness:
         assert report.stats["unknown"] > 0
         assert report.candidates == []
         assert report.status == "inconclusive" and report.undecided
+
+    def test_order_cap_candidates_check_only_the_last_iterate(self, monkeypatch):
+        # classify's own long-cycle check cleared every iterate below the
+        # cap, so the harness checks only the one over it: 3 calls, where
+        # checking the whole trace made 6
+        calls = []
+
+        def counting(g, n, counter=None):
+            calls.append(g.order)
+            return check_long_cycle(g, n, counter)
+
+        monkeypatch.setattr(minimality, "check_long_cycle", counting)
+        report = run_conjecture("divergence-iff-long-cycle", 6, 6, Budget(max_order=8))
+        assert report.stats == {"swept": 143, "unknown": 3}
+        assert [c.claims["orders"] for c in report.candidates] == [[5, 9], [5, 10], [6, 9]]
+        assert all(c.replayed for c in report.candidates)
+        assert calls == [9, 10, 9]
+        digest = hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "567d8b032a96acaef75850cca197d31210f25166ebefe68c8db4fd017294a0ef"
+        )
 
     def test_divergence_sweep_reads_the_cache(self, tmp_path):
         budget = Budget(max_iter=1)

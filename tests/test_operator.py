@@ -64,6 +64,23 @@ class TestPnAdjacent:
                     assert pn_adjacent(g, e, f, n) == naive_pn_adjacent(g, e, f, n)
 
 
+    def test_matches_naive_oracle_on_random_graphs_of_order_7_and_8(self):
+        # only here, at n >= 6, do the split searches have total >= 3
+        rng = random.Random(78)
+        for _ in range(20):
+            order = rng.randint(7, 8)
+            edges = [e for e in combinations(range(order), 2) if rng.random() < 0.4]
+            g = Graph(order, edges)
+            for n in (6, 7, 8):
+                for e, f in combinations(g.edges(), 2):
+                    if len(set(e) & set(f)) == 1:
+                        assert pn_adjacent(g, e, f, n) == naive_pn_adjacent(g, e, f, n)
+                for e in g.edges():
+                    assert edge_in_pn(g, e, n) == any(
+                        naive_pn_adjacent(g, e, f, n) for f in g.edges() if f != e
+                    )
+
+
 class TestEdgeInPn:
     def test_every_cycle_edge(self):
         for m in (4, 5, 6):
@@ -136,6 +153,20 @@ class TestHlStep:
                     if any(e[0] in comp for e in h.edges())
                 )
                 assert nontrivial <= 1
+
+
+    def test_search_cost_is_pinned(self):
+        # one split-search pass per pair; the loop over every split a + b
+        # that enumerated the shorter left paths again spent 1,070,434
+        graphs = list(enumerate_connected_graphs(7))
+        assert len(graphs) == 996
+        spent = 0
+        for n in range(4, 8):
+            for g in graphs:
+                counter = WorkCounter()
+                hl_step(g, n, counter)
+                spent += WorkCounter().remaining - counter.remaining
+        assert spent == 815_478
 
 
 class TestHlIterate:
