@@ -68,7 +68,7 @@ class ClassificationCache:
         self._records: _Records | None = None  # None until the segments are read
         self._segment: TextIO | None = None  # opened on the first append
         self._skipped = 0
-        self.hits = 0
+        self.hits = 0  # this instance's lookups; stats() reports the directory
         self.misses = 0
 
     def _loaded(self) -> _Records:
@@ -151,8 +151,6 @@ class ClassificationCache:
             if self.directory.is_dir()
             else 0,
             "corrupt_skipped": self._skipped,
-            "hits": self.hits,
-            "misses": self.misses,
         }
 
     def clear(self) -> int:

@@ -89,17 +89,37 @@ class Classification:
 # ---------------------------------------------------------------------------
 
 
-def _iter_cycles(g: Graph, counter: WorkCounter, max_len: int | None = None):
-    """Yield every cycle of at most `max_len` vertices once, as a vertex
-    sequence starting at its minimum vertex, oriented toward the smaller of
-    that vertex's two cycle neighbors.
+def _tailed_cycles(g: Graph, counter: WorkCounter, max_cycle_len: int | None, tail_order):
+    """Yield every tailed cycle whose cycle has m <= `max_cycle_len` vertices
+    and whose tail has r = `tail_order(m)` vertices, as the witness payload
+    {m, r, cycle, attach, tail}.
+
+    Each cycle is found once, as a vertex sequence starting at its minimum
+    vertex, oriented toward the smaller of that vertex's two cycle
+    neighbors.  Its tails follow, attachment vertices in cycle order, each
+    tail a path from an off-cycle neighbor of the attachment vertex that
+    avoids the cycle, depth-first.
     """
     for a in range(g.order):
         if g.degree(a) < 2:
             continue
-        for path in simple_paths(g, a, counter, range(a), max_len):
-            if len(path) >= 3 and path[1] < path[-1] and g.has_edge(path[-1], a):
-                yield path.copy()
+        for path in simple_paths(g, a, counter, range(a), max_cycle_len):
+            if len(path) < 3 or path[1] > path[-1] or not g.has_edge(path[-1], a):
+                continue
+            cycle = path.copy()
+            m = len(cycle)
+            r = tail_order(m)
+            on_cycle = set(cycle)
+            for v in cycle:
+                for u in g.neighbors(v):
+                    if u in on_cycle:
+                        continue
+                    for tail in simple_paths(g, u, counter, on_cycle, r):
+                        if len(tail) == r:
+                            yield {
+                                "m": m, "r": r, "cycle": cycle, "attach": v,
+                                "tail": tail.copy(),
+                            }
 
 
 def check_long_cycle(
@@ -156,24 +176,8 @@ def check_long_tail(
     """
     if counter is None:
         counter = WorkCounter()
-    for cycle in _iter_cycles(g, counter, max_cycle_len):
-        m = len(cycle)
-        reach = max(n - m, 0) + 2  # the attachment vertex, then r tail vertices
-        on_cycle = set(cycle)
-        for v in cycle:
-            for path in simple_paths(g, v, counter, on_cycle, reach):
-                if len(path) == reach:
-                    return Certificate(
-                        CertificateKind.LONG_TAIL,
-                        0,
-                        {
-                            "m": m,
-                            "r": reach - 1,
-                            "cycle": cycle,
-                            "attach": v,
-                            "tail": path[1:],
-                        },
-                    )
+    for payload in _tailed_cycles(g, counter, max_cycle_len, lambda m: max(n - m, 0) + 1):
+        return Certificate(CertificateKind.LONG_TAIL, 0, payload)
     return None
 
 
@@ -245,44 +249,13 @@ def check_twin_tail(
         for v in comp:
             comp_of[v] = i
     seen: dict[int, tuple[frozenset, dict]] = {}
-    for cycle in _iter_cycles(g, counter, n - 1):
-        m = len(cycle)
-        r = n - m
-        if r < 1:
-            continue
-        on_cycle = set(cycle)
-        cycle_edges = frozenset(
-            norm_edge(cycle[i], cycle[(i + 1) % m]) for i in range(m)
-        )
-        for v in cycle:
-            for u in g.neighbors(v):
-                if u in on_cycle:
-                    continue
-                for tail in simple_paths(g, u, counter, on_cycle, r):
-                    if len(tail) < r:
-                        continue
-                    tail = tail.copy()
-                    edges = cycle_edges | {norm_edge(v, u)} | {
-                        norm_edge(tail[i], tail[i + 1]) for i in range(r - 1)
-                    }
-                    payload = {
-                        "m": m,
-                        "r": r,
-                        "cycle": cycle,
-                        "attach": v,
-                        "tail": tail,
-                    }
-                    cid = comp_of[v]
-                    if cid in seen:
-                        prev_edges, prev_payload = seen[cid]
-                        if prev_edges != edges:
-                            return Certificate(
-                                CertificateKind.TWIN_TAIL,
-                                0,
-                                {"first": prev_payload, "second": payload},
-                            )
-                    else:
-                        seen[cid] = (edges, payload)
+    for payload in _tailed_cycles(g, counter, n - 1, lambda m: n - m):
+        edges = _tailed_cycle_edges(payload)
+        first_edges, first = seen.setdefault(comp_of[payload["attach"]], (edges, payload))
+        if first_edges != edges:
+            return Certificate(
+                CertificateKind.TWIN_TAIL, 0, {"first": first, "second": payload}
+            )
     return None
 
 

@@ -83,6 +83,29 @@ def brute_tailed_cycle_totals(g: Graph) -> dict[int, int]:
     return totals
 
 
+def brute_tailed_cycle_edge_sets(g: Graph, n: int) -> set[frozenset]:
+    """The edge sets of every tailed cycle of total order n in g: an m-cycle
+    with m < n and a pendant path of n - m vertices off it, via permutation
+    scans of the cycle and of the tail."""
+    found: set[frozenset] = set()
+    for size in range(3, n):
+        r = n - size
+        for subset in combinations(range(g.order), size):
+            outside = [v for v in range(g.order) if v not in subset]
+            for ring in ((subset[0], *perm) for perm in permutations(subset[1:])):
+                ring_edges = [norm_edge(ring[i], ring[(i + 1) % size]) for i in range(size)]
+                if not all(g.has_edge(*e) for e in ring_edges):
+                    continue
+                for tail in permutations(outside, r):
+                    tail_edges = [norm_edge(tail[i], tail[i + 1]) for i in range(r - 1)]
+                    if not all(g.has_edge(*e) for e in tail_edges):
+                        continue
+                    for c in subset:
+                        if g.has_edge(c, tail[0]):
+                            found.add(frozenset([*ring_edges, *tail_edges, norm_edge(c, tail[0])]))
+    return found
+
+
 def brute_circumference(g: Graph) -> int:
     lengths = brute_cycle_lengths(g)
     return lengths[-1] if lengths else 0

@@ -43,7 +43,7 @@ def test_put_then_get(tmp_path):
 def test_get_on_empty_cache_misses(tmp_path):
     cache = cache_at(tmp_path)
     assert cache.get("abcd", 5) is None
-    assert cache.stats()["misses"] == 1
+    assert cache.misses == 1
 
 
 def test_round_trip_through_disk(tmp_path):

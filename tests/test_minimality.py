@@ -553,6 +553,12 @@ class TestPropertySuite:
         with pytest.raises(ResourceLimitError):
             property_suite(make_cycle(6), 6, Budget(search_nodes=5))
 
+    def test_step_spends_from_the_budget(self):
+        # two triangles joined by an edge; the step takes 68 nodes at n = 6
+        g = Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(ResourceLimitError):
+            property_suite(g, 6, Budget(search_nodes=20))
+
     def test_claw_all_skip(self):
         report = property_suite(make_spider(1, 1, 1), 4)
         assert all(r.status == "skip" for r in report.results.values())
@@ -753,6 +759,21 @@ class TestConjectureHarness:
         assert digest.hexdigest() == (
             "567d8b032a96acaef75850cca197d31210f25166ebefe68c8db4fd017294a0ef"
         )
+
+    def test_order_cap_candidates_are_classified_once_after_the_summary(self, monkeypatch):
+        # the summaries, then one traced run per candidate; a second, replay
+        # run per candidate made it 149
+        calls = []
+
+        def counting(g, n, budget):
+            calls.append(g.order)
+            return classify(g, n, budget)
+
+        monkeypatch.setattr(minimality, "classify", counting)
+        report = run_conjecture("divergence-iff-long-cycle", 6, 6, Budget(max_order=8))
+        assert len(report.candidates) == 3
+        assert all(c.replayed for c in report.candidates)
+        assert len(calls) == 146
 
     def test_divergence_sweep_reads_the_cache(self, tmp_path):
         budget = Budget(max_iter=1)
