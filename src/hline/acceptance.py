@@ -2,8 +2,8 @@
 
 Each criterion is a standalone runner returning a pass/fail result with
 detail and elapsed time; the CLI's verify command and the acceptance tests
-share these.  Runtime ceilings are part of the criteria and are asserted by
-the callers.
+share these.  Runtime ceilings are part of the criteria: a criterion that
+runs past its ceiling fails.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ class CriterionResult:
 
 
 def _result(ident, name, passed, detail, t0, limit) -> CriterionResult:
-    return CriterionResult(ident, name, passed, detail, time.time() - t0, limit)
+    """A criterion that runs past its ceiling fails, whatever it found."""
+    seconds = time.time() - t0
+    return CriterionResult(ident, name, passed and seconds < limit, detail, seconds, limit)
 
 
 @lru_cache(maxsize=None)
@@ -63,17 +65,13 @@ def _connected(v_max: int, e_max: int | None = None) -> tuple[Graph, ...]:
     return tuple(enumerate_connected_graphs(v_max, e_max))
 
 
-def _ns(lo: int, hi: int, wanted) -> list[int]:
-    return [n for n in wanted if lo <= n <= hi]
-
-
-def criterion_1(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Every tailed cycle of total order n converges to the n-cycle in
     exactly r steps."""
     t0 = time.time()
     failures = []
     checked = 0
-    for n in _ns(lo, hi, range(4, 9)):
+    for n in range(4, 9):
         for r in range(1, n - 2):
             m = n - r
             checked += 1
@@ -92,13 +90,13 @@ def criterion_1(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
-def criterion_2(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Tailed cycles of total order above n diverge with a certificate that
     re-verifies."""
     t0 = time.time()
     failures = []
     checked = 0
-    for n in _ns(lo, hi, range(4, 9)):
+    for n in range(4, 9):
         for total in range(n + 1, n + 4):
             for r in range(1, total - 2):
                 m = total - r
@@ -118,13 +116,13 @@ def criterion_2(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
-def criterion_3(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Chorded cycles of length >= n diverge via the long-cycle certificate
     and their first iterates grow strictly."""
     t0 = time.time()
     failures = []
     checked = 0
-    for n in _ns(lo, hi, (4, 5, 6)):
+    for n in (4, 5, 6):
         for m in range(n, n + 4):
             checked += 1
             g = make_chorded_cycle(m)
@@ -158,7 +156,7 @@ def _triangle_with_pendant_paths(lengths: tuple[int, int, int]) -> Graph:
     return Graph(nxt, edges)
 
 
-def criterion_4(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """The spider image is a triangle with pendant paths of orders k-1, k-1,
     d-1, and the spider's sequence diverges."""
     t0 = time.time()
@@ -166,8 +164,6 @@ def criterion_4(lo: int = 4, hi: int = 8) -> CriterionResult:
     checked = 0
     for k, d in ((2, 1), (3, 2), (3, 3), (4, 3)):
         n = k + d + 1
-        if not lo <= n <= hi:
-            continue
         checked += 1
         g = make_spider(k, k, d)
         image = hl_step(g, n).graph
@@ -182,14 +178,14 @@ def criterion_4(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
-def criterion_5(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """One application leaves at most one component that is not an isolated
     vertex, for every connected graph of order <= 7."""
     t0 = time.time()
     violations = 0
     checked = 0
     for g in _connected(7):
-        for n in _ns(lo, hi, (4, 5, 6)):
+        for n in (4, 5, 6):
             checked += 1
             h = hl_step(g, n).graph
             nontrivial = sum(
@@ -236,14 +232,14 @@ def _oracle_adjacent_pairs(g: Graph, n: int) -> set:
     return marked
 
 
-def criterion_6(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """The split search agrees with whole-path enumeration on every adjacent
     edge pair of every connected graph of order <= 7."""
     t0 = time.time()
     mismatches = 0
     pairs = 0
     for g in _connected(7):
-        for n in _ns(lo, hi, (4, 5, 6)):
+        for n in (4, 5, 6):
             expected = _oracle_adjacent_pairs(g, n)
             got = set()
             for v in range(g.order):
@@ -263,7 +259,7 @@ def criterion_6(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
-def criterion_7(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Circumference never drops under one application, for unicyclic graphs
     of order <= 8 whose every edge lies on an n-vertex path."""
     t0 = time.time()
@@ -272,7 +268,7 @@ def criterion_7(lo: int = 4, hi: int = 8) -> CriterionResult:
     for g in _connected(8, 8):
         if g.size != g.order:
             continue
-        for n in _ns(lo, hi, (4, 5, 6)):
+        for n in (4, 5, 6):
             h = hl_step(g, n).graph
             # an isolated vertex of h is an edge of g on no n-vertex path
             if any(h.degree(v) == 0 for v in range(h.order)):
@@ -286,13 +282,13 @@ def criterion_7(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
-def criterion_8(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Tailed cycles of total order n and cycles of length n..8 are all
     minimally convergent."""
     t0 = time.time()
     failures = []
     checked = 0
-    for n in _ns(lo, hi, (4, 5, 6)):
+    for n in (4, 5, 6):
         clf = Classifier(n, Budget())
         for member in tailed_cycles_of_total_order(n):
             checked += 1
@@ -310,25 +306,24 @@ def criterion_8(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
-def criterion_9(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Every certificate emitted by the family reproductions and the small
     sweep re-verifies from its stored witness alone."""
     t0 = time.time()
     emitted = 0
     bad = 0
     jobs: list[tuple[Graph, int]] = []
-    for n in _ns(lo, hi, range(4, 9)):
+    for n in range(4, 9):
         for total in range(n + 1, n + 4):
             for r in range(1, total - 2):
                 jobs.append((make_tailed_cycle(r, total - r), n))
-    for n in _ns(lo, hi, (4, 5, 6)):
+    for n in (4, 5, 6):
         for m in range(n, n + 4):
             jobs.append((make_chorded_cycle(m), n))
     for k, d in ((2, 1), (3, 2), (3, 3), (4, 3)):
-        if lo <= k + d + 1 <= hi:
-            jobs.append((make_spider(k, k, d), k + d + 1))
+        jobs.append((make_spider(k, k, d), k + d + 1))
     for g in _connected(6):
-        for n in _ns(lo, hi, (4, 5)):
+        for n in (4, 5):
             jobs.append((g, n))
     for g, n in jobs:
         c = classify(g, n)
@@ -343,7 +338,7 @@ def criterion_9(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
-def criterion_10(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """All conjecture harnesses complete with well-formed, replayable
     reports.  The truth of the conjectures is not asserted."""
     t0 = time.time()
@@ -355,7 +350,7 @@ def criterion_10(lo: int = 4, hi: int = 8) -> CriterionResult:
         STATUS_INCONCLUSIVE,
     }
     for conjecture in CONJECTURE_IDS:
-        for n in _ns(lo, hi, (4, 5)):
+        for n in (4, 5):
             ran += 1
             rep = run_conjecture(conjecture, n, 6)
             if rep.status not in valid_status:
@@ -371,13 +366,13 @@ def criterion_10(lo: int = 4, hi: int = 8) -> CriterionResult:
     )
 
 
-def criterion_11(lo: int = 4, hi: int = 8) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     """Discovered minimal members fail none of the structural checks whose
     hypotheses they meet."""
     t0 = time.time()
     failures = []
     checked = 0
-    for n in _ns(lo, hi, (4, 5, 6)):
+    for n in (4, 5, 6):
         report = find_minimal_members(n, 7)
         clf = Classifier(n, Budget())
         for rec in report.records:
@@ -408,5 +403,5 @@ CRITERIA = (
 )
 
 
-def run_all(lo: int = 4, hi: int = 8) -> list[CriterionResult]:
-    return [fn(lo, hi) for fn in CRITERIA]
+def run_all() -> list[CriterionResult]:
+    return [fn() for fn in CRITERIA]

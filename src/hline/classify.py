@@ -272,10 +272,10 @@ def run_certificate_checks(
 ) -> tuple[Certificate | None, list[str]]:
     """All four checks in fixed order; first certificate wins.
 
-    Budget exhaustion inside a check is flagged, not fatal: the check simply
-    reports no certificate and the classifier carries on.
+    Budget exhaustion inside a check is flagged, not fatal: it ends the
+    checks without a certificate and the classifier carries on.  The later
+    checks are not run, since the spent counter would stop each at once.
     """
-    flags: list[str] = []
     for name, fn in _CHECKS:
         try:
             if fn is check_long_tail:
@@ -283,12 +283,11 @@ def run_certificate_checks(
             else:
                 cert = fn(g, n, counter)
         except ResourceLimitError:
-            flags.append(f"{name}_exhausted@k={at_iteration}")
-            continue
+            return None, [f"{name}_exhausted@k={at_iteration}"]
         if cert is not None:
             cert.found_at_iteration = at_iteration
-            return cert, flags
-    return None, flags
+            return cert, []
+    return None, []
 
 
 # ---------------------------------------------------------------------------

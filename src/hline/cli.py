@@ -4,10 +4,10 @@ Graph arguments accept a family spec ("C6", "G(r=2,m=4)", "F7",
 "CL(3,3,2)", "P4"), an edge list ("6; 0-1, 1-2, ..."), or a graph6 line.
 
 Exit codes: 0 success, 1 usage error (including an argument value out of
-range, such as --n 3 or the family spec C2), 2 parse error (a graph
-argument that is not a graph), 3 budget exhausted (a search ran out of its
-work budget, or under --strict, unknown outcomes are present or a swept
-class stayed undecided).
+range, such as --n 3 or the family spec C2, and a --cache-dir that cannot
+be written, such as a file), 2 parse error (a graph argument that is not a
+graph), 3 budget exhausted (a search ran out of its work budget, or under
+--strict, unknown outcomes are present or a swept class stayed undecided).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .families import parse_family_spec
 from .graph import Graph
 from .io import (
     GraphParseError,
-    TOOL_VERSION,
     classification_report,
     parse_graph,
     render_edge_list,
@@ -79,7 +78,7 @@ def _open_cache(args, budget: Budget) -> Iterator[ClassificationCache | None]:
     if args.no_cache:
         yield None
         return
-    cache = ClassificationCache(args.cache_dir, TOOL_VERSION, budget)
+    cache = ClassificationCache(args.cache_dir, budget)
     try:
         yield cache
     finally:
@@ -151,8 +150,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    lo, hi = args.n_range
-    results = run_all(lo, hi)
+    results = run_all()
     for r in results:
         print(r.line())
     passed = sum(1 for r in results if r.passed)
@@ -161,23 +159,13 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    cache = ClassificationCache(args.cache_dir, TOOL_VERSION, _budget(args))
+    cache = ClassificationCache(args.cache_dir, _budget(args))
     if args.action == "stats":
         _emit(cache.stats())
     else:
         removed = cache.clear()
         print(f"removed {removed} segment file(s) from {cache.directory}")
     return EXIT_OK
-
-
-def _parse_n_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise argparse.ArgumentTypeError("expected LO..HI, e.g. 4..8")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected integers in LO..HI") from None
 
 
 def build_parser() -> _Parser:
@@ -233,7 +221,6 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_conjecture)
 
     p = sub.add_parser("verify-paper", help="run the acceptance suite")
-    p.add_argument("--n-range", type=_parse_n_range, default=(4, 8))
     p.set_defaults(fn=_cmd_verify_paper)
 
     p = sub.add_parser("cache", help="cache maintenance", parents=[cache_dir])
@@ -258,7 +245,7 @@ def run_cli(argv: list[str]) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines, or `hline verify-paper` for the same table from the CLI.
 """
 
+import time
+
 import pytest
 
 from hline import acceptance
@@ -12,11 +14,7 @@ from hline import acceptance
 def _check(result):
     print()
     print(result.line())
-    assert result.passed, result.detail
-    assert result.seconds < result.limit_seconds, (
-        f"criterion {result.ident} took {result.seconds:.1f}s, "
-        f"limit {result.limit_seconds:.0f}s"
-    )
+    assert result.passed, result.line()
 
 
 def test_criterion_01_tailed_cycles_converge_exactly():
@@ -61,3 +59,8 @@ def test_criterion_10_conjecture_harnesses_complete():
 
 def test_criterion_11_structural_checks_on_minimal_members():
     _check(acceptance.criterion_11())
+
+
+def test_a_criterion_past_its_ceiling_fails():
+    late = acceptance._result(1, "found nothing wrong", True, "", time.time() - 2, 1)
+    assert not late.passed and late.line().startswith("[FAIL]")

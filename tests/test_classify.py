@@ -262,13 +262,8 @@ class TestClassify:
     def test_tiny_search_budget_yields_unknown(self):
         c = classify(make_tailed_cycle(2, 4), 6, Budget(search_nodes=10))
         assert c.outcome is Outcome.UNKNOWN and c.unknown_reason == "step_exhausted"
-        # the checks' flags come first, then the step that ran out
-        assert c.budget_flags == (
-            "long_tail_exhausted@k=0",
-            "spider_exhausted@k=0",
-            "twin_tail_exhausted@k=0",
-            "step_exhausted@k=0",
-        )
+        # the first check that ran out ends the checks; then the step runs out
+        assert c.budget_flags == ("long_tail_exhausted@k=0", "step_exhausted@k=0")
 
     def test_tight_budget_outcome_does_not_depend_on_the_stored_code(self):
         # C4 is a cycle graph, so the long-cycle check spends nothing on it;

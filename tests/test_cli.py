@@ -308,6 +308,15 @@ def test_sweeps_leave_no_cache_segment_open(capsys, argv):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def test_cache_dir_that_names_a_file_is_a_usage_error(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    argv = ("search-min", "--n", "4", "--vmax", "4", "--cache-dir", str(not_a_dir))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ")
+
+
 def test_classify_writes_no_cache_segment(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     for _ in range(3):

@@ -443,7 +443,7 @@ class TestDivergenceInheritance:
             return classify(g, *args)
 
         monkeypatch.setattr(minimality, "classify", counting)
-        cache = ClassificationCache(tmp_path, "0.1.0", Budget())
+        cache = ClassificationCache(tmp_path, Budget())
         find_minimal_members(5, 7, cache=cache)
         cache.close()
         by_code = {canonical_code(g).hex(): g for g in classified}
@@ -636,7 +636,7 @@ class TestFindMinimalMembers:
         # up nor written, so the warm run reads exactly the cold run's puts
         caches, reports = [], []
         for _ in range(2):
-            cache = ClassificationCache(tmp_path, "0.1.0", Budget())
+            cache = ClassificationCache(tmp_path, Budget())
             reports.append(find_minimal_members(4, 6, cache=cache))
             cache.close()
             caches.append(cache)
@@ -777,10 +777,10 @@ class TestConjectureHarness:
 
     def test_divergence_sweep_reads_the_cache(self, tmp_path):
         budget = Budget(max_iter=1)
-        cold_cache = ClassificationCache(tmp_path, "0.1.0", budget)
+        cold_cache = ClassificationCache(tmp_path, budget)
         cold = run_conjecture("divergence-iff-long-cycle", 5, 6, budget, cold_cache)
         cold_cache.close()
-        cache = ClassificationCache(tmp_path, "0.1.0", budget)
+        cache = ClassificationCache(tmp_path, budget)
         warm = run_conjecture("divergence-iff-long-cycle", 5, 6, budget, cache)
         cache.close()
         # 62 of the 143 swept classes are classified; the rest inherit
