@@ -9,7 +9,8 @@ searched, in a fixed order, on every iterate before the next step:
   that cycle.
 * long_tail:  a tailed-cycle subgraph (m-cycle plus pendant path of order r)
   with m + r > n.
-* spider:     a CL(k, k, n-k-1) subgraph with n <= 2k and k + 1 < n.
+* spider:     a CL(k, k, n-k-1) subgraph with n <= 2k and k + 1 < n, its
+  centre searched only in components of at least n + k vertices.
 * twin_tail:  two tailed-cycle subgraphs of total order exactly n, with
   different edge sets, inside one component.
 
@@ -26,6 +27,7 @@ from enum import Enum
 from .budget import Budget, ResourceLimitError, WorkCounter
 from .graph import (
     Graph,
+    component_of,
     components,
     induced_subgraph,
     is_cycle_graph,
@@ -181,21 +183,26 @@ def check_long_tail(
     return None
 
 
-def _spider_parameter_range(n: int) -> list[int]:
-    return [k for k in range(2, n - 1) if n <= 2 * k]
-
-
 def check_spider(
     g: Graph, n: int, counter: WorkCounter | None = None
 ) -> Certificate | None:
     """A CL(k, k, n-k-1) subgraph rooted at a vertex of degree >= 3, for some
-    k with n <= 2k and k + 1 < n."""
+    k with n <= 2k and k + 1 < n.
+
+    That subgraph has n + k vertices, all in its centre's component.  So k
+    runs only up to c - n, where c is the order of the largest component,
+    and a centre is tried for k only when its component has at least n + k
+    vertices; the skipped pairs hold no witness.  k rises in the outer loop
+    and centres in vertex order in the inner one.
+    """
     if counter is None:
         counter = WorkCounter()
-    for k in _spider_parameter_range(n):
+    comp_of = component_of(g)
+    largest = max(map(len, comp_of), default=0)
+    for k in range(max(2, (n + 1) // 2), min(n - 2, largest - n) + 1):
         d = n - k - 1
         for center in range(g.order):
-            if g.degree(center) < 3:
+            if g.degree(center) < 3 or len(comp_of[center]) < n + k:
                 continue
             legs = _find_disjoint_legs(g, center, (k, k, d), counter)
             if legs is not None:
@@ -244,11 +251,8 @@ def check_twin_tail(
     edge sets, inside the same component."""
     if counter is None:
         counter = WorkCounter()
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(components(g)):
-        for v in comp:
-            comp_of[v] = i
-    seen: dict[int, tuple[frozenset, dict]] = {}
+    comp_of = component_of(g)
+    seen: dict[frozenset[int], tuple[frozenset, dict]] = {}
     for payload in _tailed_cycles(g, counter, n - 1, lambda m: n - m):
         edges = _tailed_cycle_edges(payload)
         first_edges, first = seen.setdefault(comp_of[payload["attach"]], (edges, payload))

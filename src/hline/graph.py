@@ -128,6 +128,15 @@ def components(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def component_of(g: Graph) -> list[frozenset[int]]:
+    """Entry v is the component holding v, one shared set per component."""
+    out: list[frozenset[int]] = [frozenset()] * g.order
+    for comp in components(g):
+        for v in comp:
+            out[v] = comp
+    return out
+
+
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
@@ -416,11 +425,7 @@ def longest_cycle(g: Graph, counter: WorkCounter | None = None) -> list[int] | N
     """
     if counter is None:
         counter = WorkCounter()
-    comp_of: dict[int, frozenset[int]] = {}
-    for comp in components(g):
-        for v in comp:
-            comp_of[v] = comp
-
+    comp_of = component_of(g)
     best: list[int] = []
     for a in range(g.order):
         if g.degree(a) < 2:

@@ -106,6 +106,27 @@ def brute_tailed_cycle_edge_sets(g: Graph, n: int) -> set[frozenset]:
     return found
 
 
+def nx_spider_parameters(g: Graph, n: int) -> list[int]:
+    """Every k with n <= 2k and k + 1 < n for which CL(k, k, n-k-1) is a
+    subgraph of g (not necessarily induced), by networkx's VF2
+    monomorphism test.  A spider with more vertices than g is not tried:
+    a monomorphism is injective, and VF2 takes long to say no."""
+    nx = pytest.importorskip("networkx")
+    host = nx.Graph()
+    host.add_nodes_from(range(g.order))
+    host.add_edges_from(g.edges())
+    found = []
+    for k in range(2, n - 1):
+        if n > 2 * k or n + k > g.order:
+            continue
+        spider = nx.Graph()
+        for leg, length in enumerate((k, k, n - k - 1)):
+            nx.add_path(spider, ["centre", *((leg, i) for i in range(length))])
+        if nx.algorithms.isomorphism.GraphMatcher(host, spider).subgraph_is_monomorphic():
+            found.append(k)
+    return found
+
+
 def brute_circumference(g: Graph) -> int:
     lengths = brute_cycle_lengths(g)
     return lengths[-1] if lengths else 0

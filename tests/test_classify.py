@@ -44,6 +44,7 @@ from conftest import (
     brute_tailed_cycle_edge_sets,
     brute_tailed_cycle_totals,
     naive_connected_graphs,
+    nx_spider_parameters,
 )
 
 
@@ -162,6 +163,50 @@ class TestSpiderCheck:
     def test_claw_too_small(self):
         assert check_spider(make_spider(1, 1, 1), 4) is None
 
+    def test_agrees_with_the_networkx_oracle(self):
+        # every connected graph of order <= 6, alone, beside a small spider
+        # and beside a k-cycle: a hit iff some component holds a spider, and
+        # the witness has the least such k
+        parameters = lru_cache(maxsize=None)(nx_spider_parameters)
+        beside = [make_spider(k, k, d) for k in (2, 3, 4) for d in (1, 2, 3)]
+        beside += [make_cycle(k) for k in range(3, 9)]
+        hits = 0
+        spent = 0
+        for n in range(4, 9):
+            for g in naive_connected_graphs(6):
+                for h in [g] + [disjoint_union(other, g) for other in beside]:
+                    counter = WorkCounter()
+                    cert = check_spider(h, n, counter)
+                    spent += WorkCounter().remaining - counter.remaining
+                    ks = [
+                        k for comp in components(h)
+                        for k in parameters(induced_subgraph(h, comp)[0], n)
+                    ]
+                    assert (cert is not None) == bool(ks)
+                    if cert is not None:
+                        hits += 1
+                        assert cert.witness["k"] == min(ks)
+                        assert verify_certificate(h, n, cert)
+        assert hits > 0
+        # searching every centre for every k spent 3,367,292 here
+        assert spent == 54_002
+
+    def test_least_k_wins_over_the_lower_centre(self):
+        # at n = 6 the first component holds CL(4, 4, 1) only and the second
+        # CL(3, 3, 2): k rises in the outer loop, so the second centre wins
+        g = disjoint_union(make_spider(4, 4, 1), make_spider(3, 3, 2))
+        cert = check_spider(g, 6)
+        assert cert.witness["k"] == 3 and cert.witness["center"] == 10
+        assert verify_certificate(g, 6, cert)
+
+    def test_searches_no_centre_of_a_component_too_small(self):
+        # K8 has 8 vertices, and CL(k, k, 8 - k) at n = 9 has 9 + k; every
+        # centre for every k spent 429,600 nodes
+        complete = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+        counter = WorkCounter()
+        assert check_spider(complete, 9, counter) is None
+        assert counter.remaining == WorkCounter().remaining
+
 
 class TestTwinTailCheck:
     def test_two_pendants_on_one_cycle(self):
@@ -246,6 +291,13 @@ class TestClassify:
     def test_empty_graph_terminates_at_zero(self):
         c = classify(Graph(0), 4)
         assert c.outcome is Outcome.TERMINATED and c.steps_to_outcome == 0
+
+    def test_large_n_on_a_small_graph_terminates_at_once(self):
+        # no k is tried when n + k exceeds the order; searching every k up
+        # to n - 2 spent the default budget and ended in unknown
+        c = classify(make_spider(3, 3, 3), 3_000_000)
+        assert c.outcome is Outcome.TERMINATED and c.steps_to_outcome == 2
+        assert c.budget_flags == ()
 
     def test_spider_outside_certificate_range_still_diverges(self):
         c = classify(make_spider(3, 3, 3), 7)

@@ -18,6 +18,7 @@ from hline.graph import (
     Graph,
     canonical_code,
     circumference,
+    component_of,
     components,
     disjoint_union,
     girth,
@@ -370,6 +371,17 @@ class TestComponents:
             seen = sorted(v for c in comps for v in c)
             assert seen == list(range(g.order))
             assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+
+    def test_component_of_maps_each_vertex_to_its_component(self):
+        rng = random.Random(78)
+        for _ in range(50):
+            g = random_graph(rng)
+            comp_of = component_of(g)
+            assert len(comp_of) == g.order
+            for comp in components(g):
+                assert comp_of[min(comp)] == comp
+                assert all(comp_of[v] is comp_of[min(comp)] for v in comp)
+        assert component_of(Graph(0)) == []
 
 
 class TestCycleStatistics:
