@@ -7,16 +7,17 @@ Exit codes: 0 success, 1 usage error (including an argument value out of
 range, such as --n 3 or the family spec C2, and a --cache-dir that cannot
 be written, such as a file), 2 parse error (a graph argument that is not a
 graph), 3 budget exhausted (a search ran out of its work budget, or under
---strict, unknown outcomes are present or a swept class stayed undecided).
+--strict, a classify outcome or a swept class stayed unknown).  A reader
+that closes stdout early (`| head -1`) leaves the exit code as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import closing, nullcontext
 
 from .acceptance import run_all
 from .budget import DEFAULT_MAX_ITER, DEFAULT_MAX_ORDER, Budget, ResourceLimitError
@@ -72,21 +73,28 @@ def _budget(args) -> Budget:
     )
 
 
-@contextmanager
-def _open_cache(args, budget: Budget) -> Iterator[ClassificationCache | None]:
+def _open_cache(args, budget: Budget):
     """The run's cache, or None under --no-cache; closed when the run ends."""
     if args.no_cache:
-        yield None
-        return
-    cache = ClassificationCache(args.cache_dir, budget)
+        return nullcontext()
+    return closing(ClassificationCache(args.cache_dir, budget))
+
+
+def _quiet_stdout() -> None:
+    # the reader closed stdout: the rest of the output goes to os.devnull
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _out(text: str) -> None:
+    """Print a line; a closed stdout ends the output, not the run."""
     try:
-        yield cache
-    finally:
-        cache.close()
+        print(text)
+    except BrokenPipeError:
+        _quiet_stdout()
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _out(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_hl(args) -> int:
@@ -94,17 +102,17 @@ def _cmd_hl(args) -> int:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
     g = resolve_graph(args.graph)
     cur = g
-    print(f"k=0: order={cur.order} size={cur.size}")
+    _out(f"k=0: order={cur.order} size={cur.size}")
     for k in range(1, args.steps + 1):
         step = hl_step(cur, args.n)
         nxt = step.graph
-        print(f"k={k}: order={nxt.order} size={nxt.size}")
-        print("  provenance (vertex <- predecessor edge):")
+        _out(f"k={k}: order={nxt.order} size={nxt.size}")
+        _out("  provenance (vertex <- predecessor edge):")
         for i, e in enumerate(step.provenance):
-            print(f"    {i} <- {e[0]}-{e[1]}")
+            _out(f"    {i} <- {e[0]}-{e[1]}")
         cur = nxt
         if cur.order == 0:
-            print("  empty graph reached")
+            _out("  empty graph reached")
             break
     return EXIT_OK
 
@@ -121,40 +129,28 @@ def _cmd_classify(args) -> int:
 def _cmd_family(args) -> int:
     spec = parse_family_spec(args.spec)
     g = spec.build()
-    print(f"{spec.render()}: order={g.order} size={g.size}")
-    print(f"edge-list: {render_edge_list(g)}")
-    print(f"graph6:    {to_graph6(g)}")
+    _out(f"{spec.render()}: order={g.order} size={g.size}")
+    _out(f"edge-list: {render_edge_list(g)}")
+    _out(f"graph6:    {to_graph6(g)}")
     return EXIT_OK
 
 
-def _cmd_search_min(args) -> int:
+def _cmd_sweep(args) -> int:
+    """`search-min` and `conjecture`: the subcommand's `sweep` call over the
+    run's cache; under --strict, a swept class left undecided exits 3."""
     budget = _budget(args)
     with _open_cache(args, budget) as cache:
-        report = find_minimal_members(
-            args.n, args.vmax, budget, e_max=args.emax, cache=cache
-        )
+        report = args.sweep(args, budget, cache)
     _emit(report.to_json())
-    if args.strict and report.counts.get("unknown", 0) > 0:
-        return EXIT_BUDGET
-    return EXIT_OK
-
-
-def _cmd_conjecture(args) -> int:
-    budget = _budget(args)
-    with _open_cache(args, budget) as cache:
-        report = run_conjecture(args.id, args.n, args.vmax, budget, cache)
-    _emit(report.to_json())
-    if args.strict and report.undecided:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_BUDGET if args.strict and report.undecided else EXIT_OK
 
 
 def _cmd_verify_paper(args) -> int:
     results = run_all()
     for r in results:
-        print(r.line())
+        _out(r.line())
     passed = sum(1 for r in results if r.passed)
-    print(f"{passed}/{len(results)} criteria passed")
+    _out(f"{passed}/{len(results)} criteria passed")
     return EXIT_OK if passed == len(results) else EXIT_USAGE
 
 
@@ -164,7 +160,7 @@ def _cmd_cache(args) -> int:
         _emit(cache.stats())
     else:
         removed = cache.clear()
-        print(f"removed {removed} segment file(s) from {cache.directory}")
+        _out(f"removed {removed} segment file(s) from {cache.directory}")
     return EXIT_OK
 
 
@@ -178,6 +174,14 @@ def build_parser() -> _Parser:
     cache_dir.add_argument(
         "--cache-dir", default=argparse.SUPPRESS, help=cache_dir_help
     )
+    # the options and the command of both sweeps, search-min and conjecture
+    sweep = _Parser(add_help=False, parents=[cache_dir])
+    sweep.add_argument("--n", type=int, required=True)
+    sweep.add_argument("--vmax", type=int, required=True)
+    sweep.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    sweep.add_argument("--strict", action="store_true")
+    sweep.add_argument("--no-cache", action="store_true")
+    sweep.set_defaults(fn=_cmd_sweep)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hl", help="print iterates with provenance tables")
@@ -199,26 +203,18 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser(
-        "search-min", help="sweep for minimally convergent graphs", parents=[cache_dir]
+        "search-min", help="sweep for minimally convergent graphs", parents=[sweep]
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--vmax", type=int, required=True)
     p.add_argument("--emax", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(fn=_cmd_search_min)
+    p.set_defaults(sweep=lambda a, budget, cache: find_minimal_members(
+        a.n, a.vmax, budget, e_max=a.emax, cache=cache
+    ))
 
-    p = sub.add_parser(
-        "conjecture", help="run a falsification sweep", parents=[cache_dir]
-    )
+    p = sub.add_parser("conjecture", help="run a falsification sweep", parents=[sweep])
     p.add_argument("id", choices=CONJECTURE_IDS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--vmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(fn=_cmd_conjecture)
+    p.set_defaults(
+        sweep=lambda a, budget, cache: run_conjecture(a.id, a.n, a.vmax, budget, cache)
+    )
 
     p = sub.add_parser("verify-paper", help="run the acceptance suite")
     p.set_defaults(fn=_cmd_verify_paper)
@@ -251,7 +247,12 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _quiet_stdout()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

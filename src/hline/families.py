@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Graph, canonical_code
+from .graph import Graph
 
 
 def make_cycle(m: int) -> Graph:
@@ -69,22 +69,14 @@ def make_spider(x: int, y: int, z: int) -> Graph:
 
 
 def tailed_cycles_of_total_order(n: int) -> list[Graph]:
-    """All tailed cycles with r + m = n (m >= 3, r >= 1), deduplicated.
+    """All tailed cycles with r + m = n (m >= 3, r >= 1).
 
-    The members are pairwise non-isomorphic; deduplication by canonical code
-    is kept as a guard.
+    Distinct r give distinct cycle lengths n - r, so the members are
+    pairwise non-isomorphic.
     """
     if n < 4:
         raise ValueError(f"family needs n >= 4, got {n}")
-    out: list[Graph] = []
-    seen: set[bytes] = set()
-    for r in range(1, n - 2):
-        g = make_tailed_cycle(r, n - r)
-        code = canonical_code(g)
-        if code not in seen:
-            seen.add(code)
-            out.append(g)
-    return out
+    return [make_tailed_cycle(r, n - r) for r in range(1, n - 2)]
 
 
 # ---------------------------------------------------------------------------

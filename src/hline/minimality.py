@@ -200,18 +200,17 @@ def minimality_decision(
     By the lemma in the module docstring, a convergent g needs a look only
     at its one-edge deletions and, below them, at `unknown` classes.  The
     first convergent class blocks; failing that, an `unknown` class leaves
-    the decision `unknown`.
+    the decision `unknown`.  An `unknown` g walks the same deletions: a
+    convergent one decides `no`, and otherwise g stays `unknown`.
     """
     if any(g.degree(v) == 0 for v in range(g.order)):
         raise ValueError("minimality is decided on graphs without isolated vertices")
     clf = classifier if classifier is not None else Classifier(n, budget)
     top = clf.summary(g)
-    if top.outcome is Outcome.UNKNOWN:
-        return MinimalityResult("unknown", top)
-    if top.outcome is not Outcome.CONVERGED:
+    if top.outcome not in (Outcome.CONVERGED, Outcome.UNKNOWN):
         return MinimalityResult("no", top)
     audit: list[tuple[str, str]] = []
-    saw_unknown = False
+    saw_unknown = top.outcome is Outcome.UNKNOWN
     for sub, summ in _walk(g, clf, lambda s: s.outcome is Outcome.UNKNOWN):
         audit.append((canonical_code(sub).hex(), summ.outcome.value))
         if summ.outcome is Outcome.CONVERGED:
@@ -651,6 +650,11 @@ class SearchReport:
     records: list[MinimalityRecord]  # minimal or undecided graphs only
     counts: dict[str, int]
     expected_missing: list[str]  # family members that failed to show as minimal
+
+    @property
+    def undecided(self) -> bool:
+        """Some swept class stayed `unknown`; not in the JSON."""
+        return self.counts["unknown"] > 0
 
     def to_json(self) -> dict:
         return {

@@ -215,13 +215,12 @@ def naive_proper_subgraphs(g: Graph):
 
 def naive_minimality(g: Graph, clf) -> tuple[str, str | None]:
     """(status, blocker code hex) of the minimality decision by the
-    definition: g converges and no proper subgraph class converges."""
+    definition: g converges and no proper subgraph class converges.  A
+    convergent proper subgraph decides `no` whatever g's own outcome."""
     top = clf.summary(g).outcome
-    if top is Outcome.UNKNOWN:
-        return "unknown", None
-    if top is not Outcome.CONVERGED:
+    if top not in (Outcome.CONVERGED, Outcome.UNKNOWN):
         return "no", None
-    saw_unknown = False
+    saw_unknown = top is Outcome.UNKNOWN
     for sub in naive_proper_subgraphs(g):
         outcome = clf.summary(sub).outcome
         if outcome is Outcome.CONVERGED:

@@ -1,10 +1,15 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hline
 import hline.cli as cli
 from hline.budget import Budget
 from hline.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_USAGE, run_cli
@@ -161,6 +166,23 @@ def test_strict_conjecture_fails_on_undecided_classes(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
+def test_strict_search_min_fails_on_unknown_classes(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_budget", lambda args: Budget(max_iter=1))
+    code, out, _ = run(
+        capsys, "search-min", "--n", "4", "--vmax", "5", "--strict", "--no-cache"
+    )
+    assert json.loads(out)["counts"]["unknown"] > 0
+    assert code == EXIT_BUDGET
+
+
+def test_strict_search_min_passes_at_the_default_budget(capsys):
+    code, out, _ = run(
+        capsys, "search-min", "--n", "4", "--vmax", "5", "--strict", "--no-cache"
+    )
+    assert json.loads(out)["counts"]["unknown"] == 0
+    assert code == EXIT_OK
+
+
 def test_hl_prints_provenance(capsys):
     code, out, _ = run(capsys, "hl", "P4", "--n", "4", "--steps", "2")
     assert code == EXIT_OK
@@ -255,6 +277,32 @@ def test_benchmark_sweep_prints_the_pinned_bytes(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "conjecture, size, digest",
+    [
+        (
+            "divergence-iff-long-cycle", 192,
+            "3f771bf18444ac848b59a197ee2d274db0dcce2c7dda3b5c23a005362fa7a8df",
+        ),
+        (
+            "minimal-implies-unicyclic", 221,
+            "210af5b3080e8220136a541ed0ae93c22ecaaabaa503d599cf789015fa63856e",
+        ),
+        (
+            "unique-minimal-subgraph", 192,
+            "2b237ae30bcfd45319de32d7e0b1ff65be81bdadb114dc99f81a08ab8543e9aa",
+        ),
+    ],
+)
+def test_conjecture_sweeps_print_the_pinned_bytes(capsys, conjecture, size, digest):
+    code, out, _ = run(
+        capsys, "conjecture", conjecture, "--n", "5", "--vmax", "7", "--no-cache"
+    )
+    assert code == EXIT_OK
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_second_sweep_on_one_cache_appends_nothing(capsys, tmp_path):
     cache_dir = tmp_path / "shared"
     argv = ("--cache-dir", str(cache_dir), "search-min", "--n", "4", "--vmax", "6")
@@ -323,6 +371,32 @@ def test_classify_writes_no_cache_segment(capsys, tmp_path):
         code, _, _ = run(capsys, "--cache-dir", str(cache_dir), "classify", "C6", "--n", "4")
         assert code == EXIT_OK
     assert not list(cache_dir.glob("seg-*.jsonl"))
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # far more output than a pipe holds, so writes meet the closed pipe
+        (("hl", "C30", "--n", "4", "--steps", "400"), 1),
+        # closed before the first write; buffered, the flush at exit meets it
+        (("family", "C6"), 0),
+    ],
+    ids=["hl", "family"],
+)
+def test_a_closed_stdout_ends_the_run_quietly(argv, lines_read, unbuffered):
+    src = str(Path(hline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hline.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""
 
 
 def test_output_is_deterministic(capsys):
