@@ -24,6 +24,7 @@ from hline.graph import (
     is_connected,
     is_isomorphic,
 )
+from hline.io import parse_graph6
 from hline.minimality import (
     CONJECTURE_IDS,
     Classifier,
@@ -37,7 +38,6 @@ from hline.minimality import (
     run_conjecture,
     summarize,
 )
-from hline.io import parse_graph6
 from hline.operator import edge_in_pn, hl_step
 
 from conftest import (
@@ -160,15 +160,16 @@ class TestMinimalityDecision:
         result = minimality_decision(make_tailed_cycle(1, 4), 5, Budget(max_iter=1))
         assert result.status == "unknown"
 
-    @pytest.mark.parametrize("g6, n", [("D}_", 5), ("E{U?", 6)])
-    def test_unknown_top_with_a_convergent_deletion_is_not_minimal(self, g6, n):
+    @pytest.mark.parametrize(
+        "g6, n, blocker", [("D}_", 5, "D]_"), ("E{U?", 6, "E[U?")]
+    )
+    def test_unknown_top_with_a_convergent_deletion_is_not_minimal(self, g6, n, blocker):
         # the top needs more than two steps; a one-edge deletion converges
         # within them
         result = minimality_decision(parse_graph6(g6), n, Budget(max_iter=2))
         assert result.classification.outcome is Outcome.UNKNOWN
         assert result.status == "no"
-        if g6 == "D}_":
-            assert result.blocker_code_hex == canonical_code(parse_graph6("D]_")).hex()
+        assert result.blocker_code_hex == canonical_code(parse_graph6(blocker)).hex()
 
     def test_walk_continues_below_unknown_classes(self):
         # P4 and everything below it but the empty graph need two steps
