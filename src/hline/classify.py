@@ -14,6 +14,13 @@ searched, in a fixed order, on every iterate before the next step:
 * twin_tail:  two tailed-cycle subgraphs of total order exactly n, with
   different edge sets, inside one component.
 
+The classifier runs one tailed-cycle walk for both tail shapes: the
+long-tail walk, with cycles of at most n - 1 vertices, yields every tail of
+n - m vertices on its way to those of n - m + 1.  Its certificates are the
+ones the standalone `check_long_tail` and `check_twin_tail` return, in the
+same precedence; an exhausted walk is flagged `long_tail_exhausted@k=..`,
+so the classifier never flags `twin_tail_exhausted`.
+
 Certificates re-verify from their stored witnesses alone: the verifier
 recomputes the iterate deterministically and checks the witnessed structure,
 never re-running the search.
@@ -91,16 +98,19 @@ class Classification:
 # ---------------------------------------------------------------------------
 
 
-def _tailed_cycles(g: Graph, counter: WorkCounter, max_cycle_len: int | None, tail_order):
+def _tailed_cycles(g: Graph, counter: WorkCounter, max_cycle_len: int | None, tail_orders):
     """Yield every tailed cycle whose cycle has m <= `max_cycle_len` vertices
-    and whose tail has r = `tail_order(m)` vertices, as the witness payload
-    {m, r, cycle, attach, tail}.
+    and whose tail has r vertices for some r in `tail_orders(m)`, as the
+    witness payload {m, r, cycle, attach, tail}.
 
     Each cycle is found once, as a vertex sequence starting at its minimum
     vertex, oriented toward the smaller of that vertex's two cycle
     neighbors.  Its tails follow, attachment vertices in cycle order, each
     tail a path from an off-cycle neighbor of the attachment vertex that
-    avoids the cycle, depth-first.
+    avoids the cycle, depth-first to the largest order asked for, so a tail
+    comes before its extensions.  Tails of one order come in the same
+    relative order whatever other orders are asked for; the nodes spent
+    depend only on the largest.
     """
     for a in range(g.order):
         if g.degree(a) < 2:
@@ -110,16 +120,17 @@ def _tailed_cycles(g: Graph, counter: WorkCounter, max_cycle_len: int | None, ta
                 continue
             cycle = path.copy()
             m = len(cycle)
-            r = tail_order(m)
+            orders = tail_orders(m)
+            deepest = max(orders)
             on_cycle = set(cycle)
             for v in cycle:
                 for u in g.neighbors(v):
                     if u in on_cycle:
                         continue
-                    for tail in simple_paths(g, u, counter, on_cycle, r):
-                        if len(tail) == r:
+                    for tail in simple_paths(g, u, counter, on_cycle, deepest):
+                        if len(tail) in orders:
                             yield {
-                                "m": m, "r": r, "cycle": cycle, "attach": v,
+                                "m": m, "r": len(tail), "cycle": cycle, "attach": v,
                                 "tail": tail.copy(),
                             }
 
@@ -178,7 +189,7 @@ def check_long_tail(
     """
     if counter is None:
         counter = WorkCounter()
-    for payload in _tailed_cycles(g, counter, max_cycle_len, lambda m: max(n - m, 0) + 1):
+    for payload in _tailed_cycles(g, counter, max_cycle_len, lambda m: (max(n - m, 0) + 1,)):
         return Certificate(CertificateKind.LONG_TAIL, 0, payload)
     return None
 
@@ -244,6 +255,25 @@ def _find_disjoint_legs(
     return None
 
 
+class _TwinTails:
+    """The twin-tail comparison: the first tailed cycle offered in each
+    component, against which every later one in that component is matched
+    by edge set."""
+
+    def __init__(self, g: Graph):
+        self.comp_of = component_of(g)
+        self.first: dict[frozenset[int], tuple[frozenset, dict]] = {}
+
+    def offer(self, payload: dict) -> Certificate | None:
+        edges = _tailed_cycle_edges(payload)
+        first_edges, first = self.first.setdefault(
+            self.comp_of[payload["attach"]], (edges, payload)
+        )
+        if first_edges == edges:
+            return None
+        return Certificate(CertificateKind.TWIN_TAIL, 0, {"first": first, "second": payload})
+
+
 def check_twin_tail(
     g: Graph, n: int, counter: WorkCounter | None = None
 ) -> Certificate | None:
@@ -251,16 +281,35 @@ def check_twin_tail(
     edge sets, inside the same component."""
     if counter is None:
         counter = WorkCounter()
-    comp_of = component_of(g)
-    seen: dict[frozenset[int], tuple[frozenset, dict]] = {}
-    for payload in _tailed_cycles(g, counter, n - 1, lambda m: n - m):
-        edges = _tailed_cycle_edges(payload)
-        first_edges, first = seen.setdefault(comp_of[payload["attach"]], (edges, payload))
-        if first_edges != edges:
-            return Certificate(
-                CertificateKind.TWIN_TAIL, 0, {"first": first, "second": payload}
-            )
+    twins = _TwinTails(g)
+    for payload in _tailed_cycles(g, counter, n - 1, lambda m: (n - m,)):
+        cert = twins.offer(payload)
+        if cert is not None:
+            return cert
     return None
+
+
+def _tail_certificates(
+    g: Graph, n: int, counter: WorkCounter
+) -> tuple[Certificate | None, Certificate | None]:
+    """The classifier's long_tail and twin_tail answers from one walk.
+
+    The walk is `check_long_tail`'s with cycles of at most n - 1 vertices:
+    its first tail of n - m + 1 vertices is the long_tail certificate, found
+    at the same node spend.  Every tail of n - m vertices is a prefix that
+    walk yields first; until a twin is found, those go through
+    `check_twin_tail`'s comparison in the same order, so its certificate is
+    the one that check returns.  A twin found early does not end the walk,
+    since a long tail takes precedence.
+    """
+    twins = _TwinTails(g)
+    twin = None
+    for payload in _tailed_cycles(g, counter, n - 1, lambda m: (n - m, n - m + 1)):
+        if payload["m"] + payload["r"] > n:
+            return Certificate(CertificateKind.LONG_TAIL, 0, payload), None
+        if twin is None:
+            twin = twins.offer(payload)
+    return None, twin
 
 
 _CHECKS = (
@@ -276,14 +325,21 @@ def run_certificate_checks(
 ) -> tuple[Certificate | None, list[str]]:
     """All four checks in fixed order; first certificate wins.
 
-    Budget exhaustion inside a check is flagged, not fatal: it ends the
-    checks without a certificate and the classifier carries on.  The later
-    checks are not run, since the spent counter would stop each at once.
+    The two tail checks share one tailed-cycle walk (`_tail_certificates`),
+    run in long_tail's place; a twin_tail certificate it finds is returned
+    only after the spider check misses.  Budget exhaustion inside a check
+    is flagged, not fatal: it ends the checks without a certificate and the
+    classifier carries on.  The later checks are not run, since the spent
+    counter would stop each at once.  An exhausted tail walk is flagged
+    `long_tail_exhausted@k=..`; twin_tail spends nothing of its own.
     """
+    twin = None
     for name, fn in _CHECKS:
         try:
-            if fn is check_long_tail:
-                cert = fn(g, n, counter, max_cycle_len=n - 1)
+            if name == "long_tail":
+                cert, twin = _tail_certificates(g, n, counter)
+            elif name == "twin_tail":
+                cert = twin
             else:
                 cert = fn(g, n, counter)
         except ResourceLimitError:

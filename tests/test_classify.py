@@ -10,6 +10,7 @@ from hline.classify import (
     Certificate,
     CertificateKind,
     Outcome,
+    _tail_certificates,
     check_long_cycle,
     check_long_tail,
     check_spider,
@@ -253,6 +254,33 @@ class TestTwinTailCheck:
         assert spent == 966_713
 
 
+class TestTailCertificates:
+    def test_one_walk_matches_the_two_checks(self):
+        # every connected graph of order <= 6, alone and beside a k-cycle:
+        # the classifier's one walk gives long_tail's certificate, else
+        # twin_tail's, byte for byte
+        kinds = {None: 0, CertificateKind.LONG_TAIL: 0, CertificateKind.TWIN_TAIL: 0}
+        spent = 0
+        for n in range(4, 9):
+            for g in naive_connected_graphs(6):
+                for h in [g] + [disjoint_union(make_cycle(k), g) for k in range(3, 9)]:
+                    expected = check_long_tail(h, n, max_cycle_len=n - 1)
+                    if expected is None:
+                        expected = check_twin_tail(h, n)
+                    counter = WorkCounter()
+                    long_tail, twin_tail = _tail_certificates(h, n, counter)
+                    spent += WorkCounter().remaining - counter.remaining
+                    assert long_tail is None or twin_tail is None
+                    cert = long_tail or twin_tail
+                    assert json.dumps(cert and cert.to_json()) == json.dumps(
+                        expected and expected.to_json()
+                    )
+                    kinds[cert and cert.kind] += 1
+        assert sum(kinds.values()) == 5_005 and all(kinds.values())
+        # check_long_tail then check_twin_tail spent 940,461 on the same inputs
+        assert spent == 550_686
+
+
 class TestClassify:
     def test_limit_cycles(self):
         for m in (4, 5, 6, 7, 25, 30):
@@ -375,7 +403,8 @@ class TestClassify:
 
     def test_isomorphism_exhaustion_is_flagged(self):
         # C25 is a fixed point; the step fits the budget, its labeling does not
-        c = classify(make_cycle(25), 6, Budget(search_nodes=450))
+        # (labeling runs out at budgets 245..390)
+        c = classify(make_cycle(25), 6, Budget(search_nodes=300))
         assert c.outcome is Outcome.UNKNOWN and c.unknown_reason == "canon_exhausted"
         assert c.budget_flags == ("isomorphism_exhausted@k=0",)
         assert len(c.trace.steps) == 2
