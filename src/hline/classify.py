@@ -109,30 +109,43 @@ def _tailed_cycles(g: Graph, counter: WorkCounter, max_cycle_len: int | None, ta
     tail a path from an off-cycle neighbor of the attachment vertex that
     avoids the cycle, depth-first to the largest order asked for, so a tail
     comes before its extensions.  Tails of one order come in the same
-    relative order whatever other orders are asked for; the nodes spent
-    depend only on the largest.
+    relative order whatever other orders are asked for.
+
+    A cycle's tails depend only on its vertex set S, and every cycle on S
+    is found from the anchor min(S).  Once a cycle on S yields nothing,
+    the anchor's later cycles on S are skipped unsearched, since they
+    would yield nothing too.  The skip leaves the yields unchanged, but
+    the nodes spent depend on the orders asked, not only on the largest:
+    S is skipped only when it has no tail of any of them.
     """
     for a in range(g.order):
         if g.degree(a) < 2:
             continue
+        barren: set[frozenset[int]] = set()
         for path in simple_paths(g, a, counter, range(a), max_cycle_len):
             if len(path) < 3 or path[1] > path[-1] or not g.has_edge(path[-1], a):
+                continue
+            on_cycle = frozenset(path)
+            if on_cycle in barren:
                 continue
             cycle = path.copy()
             m = len(cycle)
             orders = tail_orders(m)
             deepest = max(orders)
-            on_cycle = set(cycle)
+            found = False
             for v in cycle:
                 for u in g.neighbors(v):
                     if u in on_cycle:
                         continue
                     for tail in simple_paths(g, u, counter, on_cycle, deepest):
                         if len(tail) in orders:
+                            found = True
                             yield {
                                 "m": m, "r": len(tail), "cycle": cycle, "attach": v,
                                 "tail": tail.copy(),
                             }
+            if not found:
+                barren.add(on_cycle)
 
 
 def check_long_cycle(
@@ -295,12 +308,14 @@ def _tail_certificates(
     """The classifier's long_tail and twin_tail answers from one walk.
 
     The walk is `check_long_tail`'s with cycles of at most n - 1 vertices:
-    its first tail of n - m + 1 vertices is the long_tail certificate, found
-    at the same node spend.  Every tail of n - m vertices is a prefix that
-    walk yields first; until a twin is found, those go through
-    `check_twin_tail`'s comparison in the same order, so its certificate is
-    the one that check returns.  A twin found early does not end the walk,
-    since a long tail takes precedence.
+    its first tail of n - m + 1 vertices is the long_tail certificate, the
+    one that check returns.  It may cost more nodes, since the check skips
+    every cycle vertex set without a tail of n - m + 1 vertices and the
+    walk only those without one of n - m.  Every tail of n - m vertices is
+    a prefix that walk yields first; until a twin is found, those go
+    through `check_twin_tail`'s comparison in the same order, so its
+    certificate is the one that check returns.  A twin found early does
+    not end the walk, since a long tail takes precedence.
     """
     twins = _TwinTails(g)
     twin = None

@@ -6,7 +6,10 @@ vertex forces the two edges to sit consecutively on any such path, the test
 reduces to finding two vertex-disjoint extensions, one leaving each free
 endpoint, whose orders sum to the remaining vertex count.  That split search
 is exact and far cheaper than whole-path enumeration, which the acceptance
-criteria and the tests keep as the reference.
+criteria and the tests keep as the reference.  Whether the second extension
+exists depends only on its start and the vertex set it must avoid, so one
+operator step remembers that answer across all of its pairs of edges; most
+of the answers are no, and each would otherwise be searched again.
 
 The module also holds the one iteration loop: `hl_iterate` and the
 classifier both run it.
@@ -30,8 +33,8 @@ def _check_edge(g: Graph, e: Edge) -> Edge:
 
 
 def _two_disjoint_extensions(
-    g: Graph, start1: int, start2: int, base: frozenset[int],
-    total: int, counter: WorkCounter,
+    g: Graph, start1: int, start2: int, base: tuple[int, ...],
+    total: int, counter: WorkCounter, memo: dict[int, bool],
 ) -> bool:
     """Do two vertex-disjoint paths exist, one from start1 and one from
     start2, whose vertices past their starts avoid `base` and number
@@ -40,28 +43,41 @@ def _two_disjoint_extensions(
     One pass over the paths from start1 with at most `total` further
     vertices: a path with a further vertices fixes the split, and is tried
     with every path from start2 with b = total - a further vertices that
-    avoids it.  A vertex set for which the start2 side failed is
-    remembered, so another start1 path over the same vertices is not
-    tried again; the set's size fixes a, so the memo is exact.
+    avoids it.  With start1 in `base`, the start2 side asks whether a path
+    from start2 of more than b = |base| + total - |X| vertices avoids
+    X = base + the start1 path.  Both callers pass |base| + total = n, so
+    the answer depends on start2 and X alone, at one n in one graph.
+    `memo` maps the key (X as a bitmask, times the order, plus start2) to
+    that answer, so no start2 side is searched twice; one operator step
+    shares it over all its pairs.
     """
-    failed: set[frozenset[int]] = set()
+    order = g.order
+    # masks[i] is the bitmask of base and the first i vertices of the live
+    # path; each path yielded is a prefix of the one before plus one vertex
+    masks = [sum(1 << x for x in base)]
     for left in simple_paths(g, start1, counter, base, total + 1):
-        b = total + 1 - len(left)
-        key = frozenset(left)
-        if key in failed:
-            continue
-        for right in simple_paths(g, start2, counter, base | key, b + 1):
-            if len(right) > b:
-                return True
-        failed.add(key)
+        size = len(left)
+        del masks[size:]
+        masks.append(masks[size - 1] | 1 << left[-1])
+        key = masks[size] * order + start2
+        found = memo.get(key)
+        if found is None:
+            b = total + 1 - size
+            found = memo[key] = any(
+                len(right) > b
+                for right in simple_paths(g, start2, counter, (*base, *left), b + 1)
+            )
+        if found:
+            return True
     return False
 
 
 def _adjacent_through_path(
-    g: Graph, u: int, v: int, w: int, n: int, counter: WorkCounter
+    g: Graph, u: int, v: int, w: int, n: int, counter: WorkCounter,
+    memo: dict[int, bool],
 ) -> bool:
     """Path-adjacency for edges (u,v) and (v,w) anchored at shared vertex v."""
-    return _two_disjoint_extensions(g, u, w, frozenset((u, v, w)), n - 3, counter)
+    return _two_disjoint_extensions(g, u, w, (u, v, w), n - 3, counter, memo)
 
 
 def pn_adjacent(
@@ -83,7 +99,7 @@ def pn_adjacent(
     w = f[0] if f[1] == v else f[1]
     if counter is None:
         counter = WorkCounter()
-    return _adjacent_through_path(g, u, v, w, n, counter)
+    return _adjacent_through_path(g, u, v, w, n, counter, {})
 
 
 def edge_in_pn(
@@ -95,7 +111,7 @@ def edge_in_pn(
     u, v = _check_edge(g, e)
     if counter is None:
         counter = WorkCounter()
-    return _two_disjoint_extensions(g, u, v, frozenset((u, v)), n - 2, counter)
+    return _two_disjoint_extensions(g, u, v, (u, v), n - 2, counter, {})
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +134,8 @@ class HLGraph:
 def hl_step(g: Graph, n: int, counter: WorkCounter | None = None) -> HLGraph:
     """One application of the operator: vertices are the edges of g, joined
     when path-adjacent.  Edges lying on no n-vertex path become isolated
-    vertices; they disappear at the next step.
+    vertices; they disappear at the next step.  All pairs share one memo
+    of split-search answers (see `_two_disjoint_extensions`).
     """
     if n < 4:
         raise ValueError(f"path order parameter must be >= 4, got {n}")
@@ -127,12 +144,13 @@ def hl_step(g: Graph, n: int, counter: WorkCounter | None = None) -> HLGraph:
     edges = g.edges()
     index = {e: i for i, e in enumerate(edges)}
     derived: list[tuple[int, int]] = []
+    memo: dict[int, bool] = {}
     for v in range(g.order):
         nbrs = g.neighbors(v)
         for ai in range(len(nbrs)):
             for bi in range(ai + 1, len(nbrs)):
                 u, w = nbrs[ai], nbrs[bi]
-                if _adjacent_through_path(g, u, v, w, n, counter):
+                if _adjacent_through_path(g, u, v, w, n, counter, memo):
                     derived.append((index[norm_edge(u, v)], index[norm_edge(v, w)]))
     return HLGraph(Graph(len(edges), derived), edges)
 

@@ -11,6 +11,7 @@ from hline.classify import (
     CertificateKind,
     Outcome,
     _tail_certificates,
+    _tailed_cycles,
     check_long_cycle,
     check_long_tail,
     check_spider,
@@ -249,9 +250,39 @@ class TestTwinTailCheck:
                         hits += 1
                         assert verify_certificate(h, n, cert)
         assert hits > 0
-        # with a cycle and tail loop of their own each, the two checks spent
-        # 1,154,200 on the same inputs
-        assert spent == 966_713
+        # without the skip of barren cycle vertex sets the two checks spent
+        # 966,713 on the same inputs, and with a cycle and tail loop of their
+        # own each 1,154,200
+        assert spent == 868_713
+
+
+class TestTailedCycles:
+    def test_yields_are_pinned(self):
+        # every payload of the classifier's walk and of each standalone
+        # check's, on every connected graph of order <= 6, alone and beside
+        # a k-cycle; the digest is that of the walk without the skip of
+        # barren cycle vertex sets
+        digest = hashlib.sha256()
+        count = 0
+        graphs = naive_connected_graphs(6)
+        for n in range(4, 9):
+            walks = (
+                (n - 1, lambda m: (n - m, n - m + 1)),
+                (None, lambda m: (max(n - m, 0) + 1,)),
+                (n - 1, lambda m: (max(n - m, 0) + 1,)),
+                (n - 1, lambda m: (n - m,)),
+            )
+            for g in graphs:
+                for h in [g] + [disjoint_union(make_cycle(k), g) for k in range(3, 9)]:
+                    for max_cycle_len, tail_orders in walks:
+                        for payload in _tailed_cycles(h, WorkCounter(), max_cycle_len, tail_orders):
+                            digest.update(json.dumps(payload).encode() + b"\n")
+                            count += 1
+                        digest.update(b"-\n")
+        assert count == 378_406
+        assert digest.hexdigest() == (
+            "5ce39161500443af00e936796da386acd3778df6a7e75ad3eddbd6ea9ca098f0"
+        )
 
 
 class TestTailCertificates:
@@ -277,8 +308,9 @@ class TestTailCertificates:
                     )
                     kinds[cert and cert.kind] += 1
         assert sum(kinds.values()) == 5_005 and all(kinds.values())
-        # check_long_tail then check_twin_tail spent 940,461 on the same inputs
-        assert spent == 550_686
+        # without the skip of barren cycle vertex sets the walk spent 550,686
+        # on the same inputs, and check_long_tail then check_twin_tail 940,461
+        assert spent == 509_820
 
 
 class TestClassify:

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from hline.acceptance import _iter_simple_paths_of_order
+from hline.acceptance import _iter_simple_paths_of_order, _oracle_adjacent_pairs
 from hline.budget import WorkCounter, ResourceLimitError
 from hline.families import make_cycle, make_path, make_spider, make_tailed_cycle
 from hline.graph import Graph, components, is_isomorphic, norm_edge
@@ -16,7 +16,7 @@ from hline.operator import (
     pn_adjacent,
 )
 
-from conftest import naive_pn_adjacent
+from conftest import naive_connected_graphs, naive_pn_adjacent
 
 
 class TestPnAdjacent:
@@ -155,9 +155,38 @@ class TestHlStep:
                 assert nontrivial <= 1
 
 
+    def test_matches_the_whole_path_oracle_on_every_pair(self):
+        # one step shares its split-search answers over all its pairs,
+        # which pn_adjacent, with a memo of its own per call, never does;
+        # the oracle enumerates naive_pn_adjacent's whole paths once per
+        # graph.  K7, K8 and K8 - e at n = 9 fail every search
+        cases = [(g, n) for n in range(4, 8) for g in naive_connected_graphs(6)]
+        complete = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        k7 = Graph(7, [e for e in complete if e[1] < 7])
+        for g in (k7, Graph(8, complete), Graph(8, complete[1:])):
+            cases += [(g, 8), (g, 9)]
+        rng = random.Random(23)
+        for _ in range(20):
+            order = rng.randint(8, 9)
+            p = rng.uniform(0.4, 0.7)
+            g = Graph(order, [e for e in combinations(range(order), 2) if rng.random() < p])
+            cases += [(g, n) for n in range(6, 11)]
+        adjacent = 0
+        for g, n in cases:
+            h = hl_step(g, n)
+            derived = {
+                tuple(sorted((h.provenance[i], h.provenance[j])))
+                for i, j in h.graph.edges()
+            }
+            assert derived == _oracle_adjacent_pairs(g, n)
+            adjacent += len(derived)
+        assert adjacent > 0
+
     def test_search_cost_is_pinned(self):
-        # one split-search pass per pair; the loop over every split a + b
-        # that enumerated the shorter left paths again spent 1,070,434
+        # one split-search pass per pair, whose start2 answers one step
+        # shares; a memo of failures per pair spent 815,478, and the loop
+        # over every split a + b that enumerated the shorter left paths
+        # again spent 1,070,434
         graphs = list(enumerate_connected_graphs(7))
         assert len(graphs) == 996
         spent = 0
@@ -166,7 +195,7 @@ class TestHlStep:
                 counter = WorkCounter()
                 hl_step(g, n, counter)
                 spent += WorkCounter().remaining - counter.remaining
-        assert spent == 815_478
+        assert spent == 675_281
 
 
 class TestHlIterate:
