@@ -1,7 +1,8 @@
 """Iterated path-line operator toolkit.
 
 Public surface: the Graph value type with exact small-graph algorithms, the
-operator itself (single steps with provenance, bounded iteration), named
+operator itself (single steps, whose vertex i is edge i of the input, and
+bounded iteration), named
 family constructors, the certified sequence classifier, the minimality lab
 with its exhaustive sweeps and conjecture harnesses, and the textual graph
 formats.
@@ -64,10 +65,8 @@ from .minimality import (
     run_conjecture,
 )
 from .operator import (
-    HLGraph,
     SequenceTrace,
     StopReason,
-    edge_in_pn,
     hl_iterate,
     hl_step,
     pn_adjacent,
@@ -84,7 +83,6 @@ __all__ = [
     "FamilySpec",
     "Graph",
     "GraphParseError",
-    "HLGraph",
     "Outcome",
     "ResourceLimitError",
     "SearchReport",
@@ -104,7 +102,6 @@ __all__ = [
     "components",
     "tailed_cycles_of_total_order",
     "disjoint_union",
-    "edge_in_pn",
     "enumerate_connected_graphs",
     "find_minimal_members",
     "girth",

@@ -394,14 +394,14 @@ def classify(g: Graph, n: int, budget: Budget = Budget()) -> Classification:
 
     trace = _iterate(g, n, budget.max_iter, budget.max_order, counter, flags, certify)
     reason = trace.stop_reason
-    last = trace.steps[-1].k
+    last = len(trace.steps) - 1
     if reason is StopReason.EMPTY:
         return Classification(
             Outcome.TERMINATED, n, last, None, None, None, trace, tuple(flags)
         )
     if reason is StopReason.FIXED_POINT:
         return Classification(
-            Outcome.CONVERGED, n, last - 1, trace.steps[-2].graph, None, None,
+            Outcome.CONVERGED, n, last - 1, trace.steps[-2], None, None,
             trace, tuple(flags),
         )
     if reason is StopReason.CERTIFICATE:
@@ -422,7 +422,7 @@ def classify(g: Graph, n: int, budget: Budget = Budget()) -> Classification:
 def _iterate_to(g: Graph, n: int, k: int) -> Graph:
     cur = g
     for _ in range(k):
-        cur = hl_step(cur, n).graph
+        cur = hl_step(cur, n)
     return cur
 
 

@@ -104,11 +104,10 @@ def _cmd_hl(args) -> int:
     cur = g
     _out(f"k=0: order={cur.order} size={cur.size}")
     for k in range(1, args.steps + 1):
-        step = hl_step(cur, args.n)
-        nxt = step.graph
+        nxt = hl_step(cur, args.n)
         _out(f"k={k}: order={nxt.order} size={nxt.size}")
         _out("  provenance (vertex <- predecessor edge):")
-        for i, e in enumerate(step.provenance):
+        for i, e in enumerate(cur.edges()):
             _out(f"    {i} <- {e[0]}-{e[1]}")
         cur = nxt
         if cur.order == 0:
@@ -131,7 +130,9 @@ def _cmd_family(args) -> int:
     g = spec.build()
     _out(f"{spec.render()}: order={g.order} size={g.size}")
     _out(f"edge-list: {render_edge_list(g)}")
-    _out(f"graph6:    {to_graph6(g)}")
+    # graph6 covers at most 62 vertices
+    if g.order <= 62:
+        _out(f"graph6:    {to_graph6(g)}")
     return EXIT_OK
 
 

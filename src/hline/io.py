@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .classify import Classification
-from .graph import Graph, canonical_code, norm_edge
+from .graph import Graph, canonical_code, components, norm_edge
 
 TOOL_VERSION = "0.1.0"
 
@@ -173,12 +173,12 @@ def classification_report(c: Classification, input_graph: Graph) -> dict:
         "certificate": c.certificate.to_json() if c.certificate else None,
         "trace": [
             {
-                "k": s.k,
-                "order": s.order,
-                "size": s.size,
-                "components": s.component_count,
+                "k": k,
+                "order": h.order,
+                "size": h.size,
+                "components": len(components(h)),
             }
-            for s in c.trace.steps
+            for k, h in enumerate(c.trace.steps)
         ],
         "stop_reason": c.trace.stop_reason.value,
         "unknown_reason": c.unknown_reason,

@@ -509,9 +509,10 @@ def property_suite(
     uni_connected = g.order > 0 and g.size == g.order and is_connected(g)
     counter = budget.counter()  # the step, the path scan and every circumference
     hl = hl_step(g, n, counter)
+    edges = g.edges()  # vertex i of hl is edges[i]
     # an edge lies on an n-vertex path iff it is path-adjacent to another
-    missing = [e for i, e in enumerate(hl.provenance) if hl.graph.degree(i) == 0]
-    image_circumference = circumference(hl.graph, counter) if uni_connected else None
+    missing = [e for i, e in enumerate(edges) if hl.degree(i) == 0]
+    image_circumference = circumference(hl, counter) if uni_connected else None
 
     def skip(name: str, why: str) -> None:
         results[name] = CheckResult("skip", why)
@@ -552,8 +553,8 @@ def property_suite(
     if lam == "yes":
         verdict(
             "component_count_preserved",
-            len(components(hl.graph)) == len(components(g)),
-            f"{len(components(g))} -> {len(components(hl.graph))}",
+            len(components(hl)) == len(components(g)),
+            f"{len(components(g))} -> {len(components(hl))}",
         )
     else:
         skip("component_count_preserved", f"minimality={lam}")
@@ -582,15 +583,15 @@ def property_suite(
         arm_vertices = set().union(*arm_dec.arms) if arm_dec.arms else set()
         offenders = [
             i
-            for i, e in enumerate(hl.provenance)
+            for i, e in enumerate(edges)
             if e[0] in arm_vertices and e[1] in arm_vertices
-            and _vertex_on_cycle(hl.graph, i)
+            and _vertex_on_cycle(hl, i)
         ]
         verdict("arm_edges_off_cycles", not offenders, f"vertices={offenders}")
         bad_roots = []
         for root in set(arm_dec.roots):
-            star = [i for i, e in enumerate(hl.provenance) if root in e]
-            sub, _ = induced_subgraph(hl.graph, star)
+            star = [i for i, e in enumerate(edges) if root in e]
+            sub, _ = induced_subgraph(hl, star)
             if circumference(sub, counter) >= 4:
                 bad_roots.append(root)
         verdict("root_star_no_long_cycle", not bad_roots, f"roots={bad_roots}")
@@ -602,8 +603,8 @@ def property_suite(
     # (h) minimally convergent, unicyclic components, image girth above 4
     #     => image components stay unicyclic
     comps_unicyclic = g.order > 0 and not _non_unicyclic_components(g)
-    if lam == "yes" and comps_unicyclic and girth(hl.graph) > 4:
-        bad_comps = [sorted(comp) for comp, _ in _non_unicyclic_components(hl.graph)]
+    if lam == "yes" and comps_unicyclic and girth(hl) > 4:
+        bad_comps = [sorted(comp) for comp, _ in _non_unicyclic_components(hl)]
         verdict("unicyclic_preserved", not bad_comps, f"components={bad_comps[:2]}")
     else:
         skip("unicyclic_preserved", "hypothesis not met")
@@ -834,7 +835,7 @@ def _divergence_without_long_cycle(g: Graph, clf: Classifier, stats: dict):
     # the summary keeps no trace, so the unknown classes are classified again
     n, budget = clf.n, clf.budget
     c = classify(g, n, budget)
-    orders = [s.order for s in c.trace.steps]
+    orders = [h.order for h in c.trace.steps]
     if c.unknown_reason != "order_cap" or not all(
         a < b for a, b in zip(orders, orders[1:])
     ):
@@ -845,7 +846,7 @@ def _divergence_without_long_cycle(g: Graph, clf: Classifier, stats: dict):
     # own long-cycle check ran in full, and found nothing, on every iterate
     # but the last one, which it never checked.
     try:
-        if check_long_cycle(c.trace.steps[-1].graph, n, budget.counter()) is not None:
+        if check_long_cycle(c.trace.steps[-1], n, budget.counter()) is not None:
             return _UNDECIDED
     except ResourceLimitError:
         return _UNDECIDED

@@ -1,15 +1,17 @@
 """The iterated path-line operator.
 
-Two edges that share a vertex become adjacent in the derived graph exactly
-when some simple path on n vertices contains both.  Because the shared
-vertex forces the two edges to sit consecutively on any such path, the test
-reduces to finding two vertex-disjoint extensions, one leaving each free
-endpoint, whose orders sum to the remaining vertex count.  That split search
-is exact and far cheaper than whole-path enumeration, which the acceptance
-criteria and the tests keep as the reference.  Whether the second extension
-exists depends only on its start and the vertex set it must avoid, so one
-operator step remembers that answer across all of its pairs of edges; most
-of the answers are no, and each would otherwise be searched again.
+Vertex i of the derived graph is edge i of the input, `g.edges()[i]`.  Two
+edges that share a vertex become adjacent in the derived graph exactly when
+some simple path on n vertices contains both.  Because the shared vertex
+forces the two edges (u,v) and (v,w) to sit consecutively on any such
+path, the test reduces to one split search: two vertex-disjoint
+extensions, one leaving u and one leaving w, whose orders sum to n - 3.
+That search is exact and far cheaper than whole-path enumeration, which
+the acceptance criteria and the tests keep as the reference.  Whether the
+second extension exists depends only on its start and the vertex set it
+must avoid, so one operator step remembers that answer across all of its
+pairs of edges; most of the answers are no, and each would otherwise be
+searched again.
 
 The module also holds the one iteration loop: `hl_iterate` and the
 classifier both run it.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .budget import ResourceLimitError, WorkCounter
-from .graph import Edge, Graph, components, is_isomorphic, norm_edge, simple_paths
+from .graph import Edge, Graph, is_isomorphic, norm_edge, simple_paths
 
 
 def _check_edge(g: Graph, e: Edge) -> Edge:
@@ -33,51 +35,44 @@ def _check_edge(g: Graph, e: Edge) -> Edge:
 
 
 def _two_disjoint_extensions(
-    g: Graph, start1: int, start2: int, base: tuple[int, ...],
-    total: int, counter: WorkCounter, memo: dict[int, bool],
+    g: Graph, u: int, v: int, w: int, n: int, counter: WorkCounter,
+    memo: dict[int, bool],
 ) -> bool:
-    """Do two vertex-disjoint paths exist, one from start1 and one from
-    start2, whose vertices past their starts avoid `base` and number
-    `total` together?
+    """Do edges (u,v) and (v,w) lie on a common simple path on n vertices?
 
-    One pass over the paths from start1 with at most `total` further
-    vertices: a path with a further vertices fixes the split, and is tried
-    with every path from start2 with b = total - a further vertices that
-    avoids it.  With start1 in `base`, the start2 side asks whether a path
-    from start2 of more than b = |base| + total - |X| vertices avoids
-    X = base + the start1 path.  Both callers pass |base| + total = n, so
-    the answer depends on start2 and X alone, at one n in one graph.
-    `memo` maps the key (X as a bitmask, times the order, plus start2) to
-    that answer, so no start2 side is searched twice; one operator step
-    shares it over all its pairs.
+    Such a path runs through u, v, w in a row, so it exists iff two
+    vertex-disjoint paths, one from u and one from w, avoid {u, v, w} past
+    their starts and have n - 3 further vertices together.  One pass over
+    the paths from u with at most n - 3 further vertices: a path with a
+    further vertices fixes the split, and is tried with every path from w
+    with b = n - 3 - a further vertices that avoids it.  The w side asks
+    whether a path from w of more than b = n - |X| vertices avoids
+    X = {u, v, w} + the u path, so its answer depends on w and X alone, at
+    one n in one graph.  `memo` maps the key (X as a bitmask, times the
+    order, plus w) to that answer, so no w side is searched twice; one
+    operator step shares it over all its pairs.
     """
     order = g.order
+    base = (u, v, w)
+    total = n - 3
     # masks[i] is the bitmask of base and the first i vertices of the live
     # path; each path yielded is a prefix of the one before plus one vertex
-    masks = [sum(1 << x for x in base)]
-    for left in simple_paths(g, start1, counter, base, total + 1):
+    masks = [1 << u | 1 << v | 1 << w]
+    for left in simple_paths(g, u, counter, base, total + 1):
         size = len(left)
         del masks[size:]
         masks.append(masks[size - 1] | 1 << left[-1])
-        key = masks[size] * order + start2
+        key = masks[size] * order + w
         found = memo.get(key)
         if found is None:
             b = total + 1 - size
             found = memo[key] = any(
                 len(right) > b
-                for right in simple_paths(g, start2, counter, (*base, *left), b + 1)
+                for right in simple_paths(g, w, counter, (*base, *left), b + 1)
             )
         if found:
             return True
     return False
-
-
-def _adjacent_through_path(
-    g: Graph, u: int, v: int, w: int, n: int, counter: WorkCounter,
-    memo: dict[int, bool],
-) -> bool:
-    """Path-adjacency for edges (u,v) and (v,w) anchored at shared vertex v."""
-    return _two_disjoint_extensions(g, u, w, (u, v, w), n - 3, counter, memo)
 
 
 def pn_adjacent(
@@ -99,41 +94,18 @@ def pn_adjacent(
     w = f[0] if f[1] == v else f[1]
     if counter is None:
         counter = WorkCounter()
-    return _adjacent_through_path(g, u, v, w, n, counter, {})
-
-
-def edge_in_pn(
-    g: Graph, e: Edge, n: int, counter: WorkCounter | None = None
-) -> bool:
-    """True iff some simple path on exactly n vertices contains edge e."""
-    if n < 4:
-        raise ValueError(f"path order parameter must be >= 4, got {n}")
-    u, v = _check_edge(g, e)
-    if counter is None:
-        counter = WorkCounter()
-    return _two_disjoint_extensions(g, u, v, (u, v), n - 2, counter, {})
+    return _two_disjoint_extensions(g, u, v, w, n, counter, {})
 
 
 # ---------------------------------------------------------------------------
-# One derived-graph step, with provenance
+# One derived-graph step
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HLGraph:
-    """A derived graph whose vertices remember which predecessor edge they are.
-
-    provenance[i] is the edge of the predecessor graph that vertex i of
-    `graph` represents; it is a bijection onto the predecessor's edge set.
-    """
-
-    graph: Graph
-    provenance: tuple[Edge, ...]
-
-
-def hl_step(g: Graph, n: int, counter: WorkCounter | None = None) -> HLGraph:
-    """One application of the operator: vertices are the edges of g, joined
-    when path-adjacent.  Edges lying on no n-vertex path become isolated
+def hl_step(g: Graph, n: int, counter: WorkCounter | None = None) -> Graph:
+    """One application of the operator: vertex i of the derived graph is
+    the edge g.edges()[i], and two vertices are joined when their edges are
+    path-adjacent.  Edges lying on no n-vertex path become isolated
     vertices; they disappear at the next step.  All pairs share one memo
     of split-search answers (see `_two_disjoint_extensions`).
     """
@@ -150,9 +122,9 @@ def hl_step(g: Graph, n: int, counter: WorkCounter | None = None) -> HLGraph:
         for ai in range(len(nbrs)):
             for bi in range(ai + 1, len(nbrs)):
                 u, w = nbrs[ai], nbrs[bi]
-                if _adjacent_through_path(g, u, v, w, n, counter, memo):
+                if _two_disjoint_extensions(g, u, v, w, n, counter, memo):
                     derived.append((index[norm_edge(u, v)], index[norm_edge(v, w)]))
-    return HLGraph(Graph(len(edges), derived), edges)
+    return Graph(len(edges), derived)
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +144,11 @@ class StopReason(str, Enum):
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    k: int
-    graph: Graph
-    order: int
-    size: int
-    component_count: int
-
-
-@dataclass(frozen=True)
 class SequenceTrace:
-    n: int
-    steps: tuple[TraceStep, ...]
+    """The iterates, steps[k] the k-th, and why the iteration stopped."""
+
+    steps: tuple[Graph, ...]
     stop_reason: StopReason
-
-
-def _trace_step(k: int, g: Graph) -> TraceStep:
-    return TraceStep(k, g, g.order, g.size, len(components(g)))
 
 
 def hl_iterate(
@@ -224,10 +184,10 @@ def _iterate(
     appends `step_exhausted@k=..` or `isomorphism_exhausted@k=..` to
     `flags`.
     """
-    steps = [_trace_step(0, g)]
+    steps = [g]
 
     def stop(reason: StopReason) -> SequenceTrace:
-        return SequenceTrace(n, tuple(steps), reason)
+        return SequenceTrace(tuple(steps), reason)
 
     cur = g
     k = 0
@@ -239,11 +199,11 @@ def _iterate(
         if k == max_iter:
             return stop(StopReason.ITER_CAP)
         try:
-            nxt = hl_step(cur, n, counter).graph
+            nxt = hl_step(cur, n, counter)
         except ResourceLimitError:
             flags.append(f"step_exhausted@k={k}")
             return stop(StopReason.STEP_EXHAUSTED)
-        steps.append(_trace_step(k + 1, nxt))
+        steps.append(nxt)
         # an empty step is never isomorphic to cur, which is not empty, so
         # the loop reaches the EMPTY test above
         try:

@@ -460,8 +460,8 @@ class TestCertificateSoundness:
                 c = classify(g, n)
                 if c.outcome is not Outcome.CONVERGED:
                     continue
-                for step in c.trace.steps:
-                    cert, _ = run_certificate_checks(step.graph, n, WorkCounter(), step.k)
+                for k, h in enumerate(c.trace.steps):
+                    cert, _ = run_certificate_checks(h, n, WorkCounter(), k)
                     assert cert is None
 
     def test_tampered_witnesses_fail_verification(self):
@@ -516,7 +516,7 @@ class TestChordedCycleEmergence:
             for m in range(n, n + 3):
                 for dist in range(2, m // 2 + 1):
                     g0 = Graph(m, [(i, (i + 1) % m) for i in range(m)] + [(0, dist)])
-                    image = hl_step(g0, n).graph
+                    image = hl_step(g0, n)
                     assert self._contains_spanning(image, make_chorded_cycle(m + 1))
 
 
@@ -524,7 +524,7 @@ class TestSpiderImageShapes:
     def test_triangle_with_pendants(self):
         for k, d in ((2, 1), (3, 2), (4, 3)):
             n = k + d + 1
-            image = hl_step(make_spider(k, k, d), n).graph
+            image = hl_step(make_spider(k, k, d), n)
             edges = [(0, 1), (1, 2), (0, 2)]
             nxt = 3
             for anchor, length in enumerate((k - 1, k - 1, d - 1)):
@@ -539,5 +539,5 @@ class TestSpiderImageShapes:
         for n in (4, 5, 6):
             for m in range(n, n + 4):
                 trace = hl_iterate(make_chorded_cycle(m), n, 3, 1_000_000)
-                orders = [s.order for s in trace.steps]
+                orders = [h.order for h in trace.steps]
                 assert all(a < b for a, b in zip(orders, orders[1:]))

@@ -33,6 +33,19 @@ def test_family_prints_both_formats(capsys):
     assert "graph6:" in out
 
 
+def test_family_over_62_vertices_prints_no_graph6_line(capsys):
+    # graph6 covers at most 62 vertices; the other two lines still print
+    code, out, _ = run(capsys, "family", "C70")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "C70: order=70 size=70"
+    assert lines[1].startswith("edge-list: 70; 0-1, 0-69, 1-2,")
+    assert len(lines) == 2
+    code, out, _ = run(capsys, "family", "C62")
+    assert code == EXIT_OK
+    assert out.splitlines()[2].startswith("graph6:    }")
+
+
 def test_classify_limit_cycle(capsys):
     code, out, _ = run(capsys, "classify", "C6", "--n", "4")
     assert code == EXIT_OK
@@ -188,6 +201,28 @@ def test_hl_prints_provenance(capsys):
     assert code == EXIT_OK
     assert "provenance" in out
     assert "0 <- 0-1" in out
+
+
+@pytest.mark.parametrize(
+    "graph, steps, size, digest",
+    [
+        (
+            "CL(3,3,2)", "2", 355,
+            "cb23c0d79a1f758a0067448288814b73ad129f70ab1335eef44488ebdc51c545",
+        ),
+        (
+            "G(r=2,m=4)", "4", 584,
+            "c8264cb6229396ac2d218cf8234a61bfb2f793bf12ace3bfb1029c1b1b00f167",
+        ),
+    ],
+)
+def test_hl_prints_the_pinned_bytes(capsys, graph, steps, size, digest):
+    # taken while each step still returned its provenance table beside the
+    # derived graph; the table now comes from the predecessor's edge list
+    code, out, _ = run(capsys, "hl", graph, "--n", "6", "--steps", steps)
+    assert code == EXIT_OK
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_min_report(capsys):

@@ -279,7 +279,7 @@ class TestCanonicalCode:
         nx = pytest.importorskip("networkx")
         f7_iterate = make_chorded_cycle(7)
         for _ in range(4):
-            f7_iterate = hl_step(f7_iterate, 6).graph  # order 66
+            f7_iterate = hl_step(f7_iterate, 6)  # order 66
         families = (
             [make_cycle(m) for m in (8, 12, 16, 20, 24)]
             + [matching(k) for k in (4, 6, 8, 10, 12)]

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from hline import minimality, operator
+from hline import minimality
+from hline.acceptance import _iter_simple_paths_of_order
 from hline.budget import Budget, ResourceLimitError
 from hline.cache import ClassificationCache
 from hline.classify import Outcome, check_long_cycle, classify
@@ -23,6 +24,7 @@ from hline.graph import (
     induced_subgraph,
     is_connected,
     is_isomorphic,
+    norm_edge,
 )
 from hline.io import parse_graph6
 from hline.minimality import (
@@ -38,7 +40,7 @@ from hline.minimality import (
     run_conjecture,
     summarize,
 )
-from hline.operator import edge_in_pn, hl_step
+from hline.operator import hl_step
 
 from conftest import (
     all_labeled_graphs,
@@ -523,7 +525,7 @@ class TestArmDecomposition:
 
     def test_spider_image(self):
         h = hl_step(make_spider(3, 3, 2), 6)
-        dec = arm_decomposition(h.graph)
+        dec = arm_decomposition(h)
         assert sorted(len(a) for a in dec.arms) == [1, 2, 2]
         assert len(set(dec.roots)) == 3
 
@@ -582,21 +584,13 @@ class TestPropertySuite:
         for n in range(4, 8):
             for g in graphs:
                 h = hl_step(g, n)
-                isolated = [e for i, e in enumerate(h.provenance) if h.graph.degree(i) == 0]
-                assert isolated == [e for e in g.edges() if not edge_in_pn(g, e, n)]
-
-    def test_suite_runs_no_edge_in_pn_search(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return edge_in_pn(*args, **kwargs)
-
-        for module in (operator, minimality):
-            monkeypatch.setattr(module, "edge_in_pn", counting, raising=False)
-        for g in (make_cycle(6), make_tailed_cycle(2, 4), make_spider(1, 1, 1)):
-            property_suite(g, 6)
-        assert calls == []
+                isolated = [e for i, e in enumerate(g.edges()) if h.degree(i) == 0]
+                on_paths = {
+                    norm_edge(path[i], path[i + 1])
+                    for path in _iter_simple_paths_of_order(g, n)
+                    for i in range(n - 1)
+                }
+                assert isolated == [e for e in g.edges() if e not in on_paths]
 
     def test_vertex_on_cycle_matches_networkx_cycle_basis(self):
         nx = pytest.importorskip("networkx")
