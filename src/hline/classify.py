@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 
 from .budget import Budget, ResourceLimitError, WorkCounter
 from .graph import (
@@ -38,10 +39,11 @@ from .graph import (
     components,
     induced_subgraph,
     is_cycle_graph,
+    is_isomorphic,
     norm_edge,
     simple_paths,
 )
-from .operator import SequenceTrace, StopReason, _iterate, hl_step
+from .operator import hl_step
 
 
 class CertificateKind(str, Enum):
@@ -71,6 +73,24 @@ class Certificate:
             int(data["found_at_iteration"]),
             data["witness"],
         )
+
+
+class StopReason(str, Enum):
+    FIXED_POINT = "fixed_point"
+    EMPTY = "empty"
+    ORDER_CAP = "order_cap"
+    ITER_CAP = "iter_cap"
+    STEP_EXHAUSTED = "step_exhausted"
+    CANON_EXHAUSTED = "canon_exhausted"
+    CERTIFICATE = "certificate"
+
+
+@dataclass(frozen=True)
+class SequenceTrace:
+    """The iterates, steps[k] the k-th, and why the iteration stopped."""
+
+    steps: tuple[Graph, ...]
+    stop_reason: StopReason
 
 
 class Outcome(str, Enum):
@@ -337,16 +357,17 @@ _CHECKS = (
 
 def run_certificate_checks(
     g: Graph, n: int, counter: WorkCounter, at_iteration: int
-) -> tuple[Certificate | None, list[str]]:
+) -> tuple[Certificate | None, str | None]:
     """All four checks in fixed order; first certificate wins.
 
     The two tail checks share one tailed-cycle walk (`_tail_certificates`),
     run in long_tail's place; a twin_tail certificate it finds is returned
     only after the spider check misses.  Budget exhaustion inside a check
-    is flagged, not fatal: it ends the checks without a certificate and the
-    classifier carries on.  The later checks are not run, since the spent
-    counter would stop each at once.  An exhausted tail walk is flagged
-    `long_tail_exhausted@k=..`; twin_tail spends nothing of its own.
+    is flagged, not fatal: it ends the checks with no certificate and that
+    check's flag, and the classifier carries on.  The later checks are not
+    run, since the spent counter would stop each at once.  An exhausted
+    tail walk is flagged `long_tail_exhausted@k=..`; twin_tail spends
+    nothing of its own.
     """
     twin = None
     for name, fn in _CHECKS:
@@ -358,11 +379,11 @@ def run_certificate_checks(
             else:
                 cert = fn(g, n, counter)
         except ResourceLimitError:
-            return None, [f"{name}_exhausted@k={at_iteration}"]
+            return None, f"{name}_exhausted@k={at_iteration}"
         if cert is not None:
             cert.found_at_iteration = at_iteration
-            return cert, []
-    return None, []
+            return cert, None
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -373,45 +394,61 @@ def run_certificate_checks(
 def classify(g: Graph, n: int, budget: Budget = Budget()) -> Classification:
     """Decide the fate of the iterated sequence within the given budget.
 
-    Certificate checks run on each iterate before the next step; a hit
-    certifies divergence of the input, because a subgraph with an unbounded
-    sequence forces the whole sequence to be unbounded.  Precedence at a
-    step: termination beats the trivial empty-graph fixed point; caps yield
-    an honest Unknown rather than a guess.
+    At iterate k, in order: the empty graph terminates (EMPTY, N = k); the
+    certificate checks run, and a hit certifies divergence (CERTIFICATE),
+    because a subgraph with an unbounded sequence forces the whole
+    sequence to be unbounded; k = max_iter stops (ITER_CAP); the step is
+    taken, and an iterate isomorphic to its predecessor converges
+    (FIXED_POINT, N = k), one over max_order stops (ORDER_CAP).  All of
+    it spends one counter; running it out in the step stops with
+    STEP_EXHAUSTED, in the isomorphism test with CANON_EXHAUSTED, flagged
+    `step_exhausted@k=..` or `isomorphism_exhausted@k=..`.  A stop with no
+    decision is an honest Unknown rather than a guess, its stop reason
+    the unknown reason.
     """
     if n < 4:
         raise ValueError(f"path order parameter must be >= 4, got {n}")
     counter = budget.counter()
+    steps = [g]
     flags: list[str] = []
-    found: list[Certificate] = []
 
-    def certify(k: int, h: Graph) -> bool:
-        cert, new_flags = run_certificate_checks(h, n, counter, k)
-        flags.extend(new_flags)
+    def stop(
+        reason: StopReason, outcome: Outcome = Outcome.UNKNOWN, steps_to: int | None = None,
+        limit: Graph | None = None, cert: Certificate | None = None,
+    ) -> Classification:
+        unknown = reason.value if outcome is Outcome.UNKNOWN else None
+        trace = SequenceTrace(tuple(steps), reason)
+        return Classification(outcome, n, steps_to, limit, cert, unknown, trace, tuple(flags))
+
+    cur = g
+    for k in count():
+        if cur.order == 0:
+            return stop(StopReason.EMPTY, Outcome.TERMINATED, k)
+        cert, flag = run_certificate_checks(cur, n, counter, k)
+        if flag is not None:
+            flags.append(flag)
         if cert is not None:
-            found.append(cert)
-        return cert is not None
-
-    trace = _iterate(g, n, budget.max_iter, budget.max_order, counter, flags, certify)
-    reason = trace.stop_reason
-    last = len(trace.steps) - 1
-    if reason is StopReason.EMPTY:
-        return Classification(
-            Outcome.TERMINATED, n, last, None, None, None, trace, tuple(flags)
-        )
-    if reason is StopReason.FIXED_POINT:
-        return Classification(
-            Outcome.CONVERGED, n, last - 1, trace.steps[-2], None, None,
-            trace, tuple(flags),
-        )
-    if reason is StopReason.CERTIFICATE:
-        return Classification(
-            Outcome.DIVERGED_BY_ORDER, n, None, None, found[0], None, trace,
-            tuple(flags),
-        )
-    return Classification(
-        Outcome.UNKNOWN, n, None, None, None, reason.value, trace, tuple(flags)
-    )
+            return stop(StopReason.CERTIFICATE, Outcome.DIVERGED_BY_ORDER, cert=cert)
+        if k == budget.max_iter:
+            return stop(StopReason.ITER_CAP)
+        try:
+            nxt = hl_step(cur, n, counter)
+        except ResourceLimitError:
+            flags.append(f"step_exhausted@k={k}")
+            return stop(StopReason.STEP_EXHAUSTED)
+        steps.append(nxt)
+        # an empty step is never isomorphic to cur, which is not empty, so
+        # the loop reaches the EMPTY test above
+        try:
+            fixed = is_isomorphic(cur, nxt, counter=counter)
+        except ResourceLimitError:
+            flags.append(f"isomorphism_exhausted@k={k}")
+            return stop(StopReason.CANON_EXHAUSTED)
+        if fixed:
+            return stop(StopReason.FIXED_POINT, Outcome.CONVERGED, k, cur)
+        if nxt.order > budget.max_order:
+            return stop(StopReason.ORDER_CAP)
+        cur = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -98,21 +98,25 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_hl(args) -> int:
+    """Iterates 0..--steps with provenance tables, up to the empty graph;
+    the arguments are checked before the first line is printed."""
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
-    g = resolve_graph(args.graph)
-    cur = g
+    if args.n < 4:
+        raise ValueError(f"path order parameter must be >= 4, got {args.n}")
+    cur = resolve_graph(args.graph)
     _out(f"k=0: order={cur.order} size={cur.size}")
     for k in range(1, args.steps + 1):
+        if cur.order == 0:
+            break
         nxt = hl_step(cur, args.n)
         _out(f"k={k}: order={nxt.order} size={nxt.size}")
         _out("  provenance (vertex <- predecessor edge):")
         for i, e in enumerate(cur.edges()):
             _out(f"    {i} <- {e[0]}-{e[1]}")
         cur = nxt
-        if cur.order == 0:
-            _out("  empty graph reached")
-            break
+    if cur.order == 0:
+        _out("  empty graph reached")
     return EXIT_OK
 
 

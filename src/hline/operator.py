@@ -13,18 +13,14 @@ must avoid, so one operator step remembers that answer across all of its
 pairs of edges; most of the answers are no, and each would otherwise be
 searched again.
 
-The module also holds the one iteration loop: `hl_iterate` and the
-classifier both run it.
+The module holds the operator alone; the classifier (`hline.classify`)
+iterates it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
-from enum import Enum
-
-from .budget import ResourceLimitError, WorkCounter
-from .graph import Edge, Graph, is_isomorphic, norm_edge, simple_paths
+from .budget import WorkCounter
+from .graph import Edge, Graph, norm_edge, simple_paths
 
 
 def _check_edge(g: Graph, e: Edge) -> Edge:
@@ -126,94 +122,3 @@ def hl_step(g: Graph, n: int, counter: WorkCounter | None = None) -> Graph:
                     derived.append((index[norm_edge(u, v)], index[norm_edge(v, w)]))
     return Graph(len(edges), derived)
 
-
-# ---------------------------------------------------------------------------
-# Bounded iteration
-# ---------------------------------------------------------------------------
-
-
-class StopReason(str, Enum):
-    FIXED_POINT = "fixed_point"
-    EMPTY = "empty"
-    ORDER_CAP = "order_cap"
-    ITER_CAP = "iter_cap"
-    STEP_EXHAUSTED = "step_exhausted"
-    CANON_EXHAUSTED = "canon_exhausted"
-    # only produced by the classifier, whose per-iterate checks cut it short
-    CERTIFICATE = "certificate"
-
-
-@dataclass(frozen=True)
-class SequenceTrace:
-    """The iterates, steps[k] the k-th, and why the iteration stopped."""
-
-    steps: tuple[Graph, ...]
-    stop_reason: StopReason
-
-
-def hl_iterate(
-    g: Graph, n: int, max_iter: int, max_order: int,
-    counter: WorkCounter | None = None,
-) -> SequenceTrace:
-    """Iterate the operator, recording every intermediate graph.
-
-    Stops at the first of: the empty graph (EMPTY), isomorphic consecutive
-    iterates (FIXED_POINT), an iterate larger than max_order (ORDER_CAP),
-    max_iter applications (ITER_CAP), a step that exhausts `counter`
-    (STEP_EXHAUSTED), or an isomorphism test that exhausts it
-    (CANON_EXHAUSTED).
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if max_order < g.order:
-        raise ValueError("max_order must be at least the input order")
-    if counter is None:
-        counter = WorkCounter()
-    return _iterate(g, n, max_iter, max_order, counter, [])
-
-
-def _iterate(
-    g: Graph, n: int, max_iter: int, max_order: int, counter: WorkCounter,
-    flags: list[str], visit: Callable[[int, Graph], bool] | None = None,
-) -> SequenceTrace:
-    """The iteration loop.  At iterate k, in order: stop on the empty graph
-    (EMPTY); stop with CERTIFICATE when `visit(k, iterate)` is true; stop
-    after max_iter steps (ITER_CAP); step, then stop on a fixed point or an
-    iterate over max_order.  Budget exhaustion in the step stops with
-    STEP_EXHAUSTED, in the isomorphism test with CANON_EXHAUSTED; each
-    appends `step_exhausted@k=..` or `isomorphism_exhausted@k=..` to
-    `flags`.
-    """
-    steps = [g]
-
-    def stop(reason: StopReason) -> SequenceTrace:
-        return SequenceTrace(tuple(steps), reason)
-
-    cur = g
-    k = 0
-    while True:
-        if cur.order == 0:
-            return stop(StopReason.EMPTY)
-        if visit is not None and visit(k, cur):
-            return stop(StopReason.CERTIFICATE)
-        if k == max_iter:
-            return stop(StopReason.ITER_CAP)
-        try:
-            nxt = hl_step(cur, n, counter)
-        except ResourceLimitError:
-            flags.append(f"step_exhausted@k={k}")
-            return stop(StopReason.STEP_EXHAUSTED)
-        steps.append(nxt)
-        # an empty step is never isomorphic to cur, which is not empty, so
-        # the loop reaches the EMPTY test above
-        try:
-            fixed = is_isomorphic(cur, nxt, counter=counter)
-        except ResourceLimitError:
-            flags.append(f"isomorphism_exhausted@k={k}")
-            return stop(StopReason.CANON_EXHAUSTED)
-        if fixed:
-            return stop(StopReason.FIXED_POINT)
-        if nxt.order > max_order:
-            return stop(StopReason.ORDER_CAP)
-        cur = nxt
-        k += 1

@@ -91,6 +91,7 @@ def test_usage_error_exit_code(capsys):
     [
         ("classify", "C6", "--n", "3"),
         ("search-min", "--n", "5", "--vmax", "10", "--no-cache"),
+        ("hl", "C6", "--n", "3"),
     ],
 )
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
@@ -201,6 +202,18 @@ def test_hl_prints_provenance(capsys):
     assert code == EXIT_OK
     assert "provenance" in out
     assert "0 <- 0-1" in out
+
+
+def test_hl_takes_no_step_from_the_empty_graph(capsys):
+    code, out, _ = run(capsys, "hl", "0;", "--n", "4", "--steps", "3")
+    assert code == EXIT_OK
+    assert out == "k=0: order=0 size=0\n  empty graph reached\n"
+    # an edgeless graph steps once, to the empty graph
+    code, out, _ = run(capsys, "hl", "3;", "--n", "4", "--steps", "3")
+    assert out == (
+        "k=0: order=3 size=0\nk=1: order=0 size=0\n"
+        "  provenance (vertex <- predecessor edge):\n  empty graph reached\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ import jsonschema
 import networkx as nx
 import pytest
 
-from hline.classify import classify
+from hline.budget import Budget
+from hline.classify import StopReason, classify
 from hline.families import (
     make_chorded_cycle,
     make_cycle,
@@ -154,6 +155,19 @@ class TestReportSchema:
         report = classification_report(classify(graph, n), graph)
         jsonschema.validate(report, SCHEMA)
         json.dumps(report)  # must be serializable as-is
+
+    def test_order_cap_report_validates(self):
+        k4 = Graph(4, combinations(range(4), 2))
+        report = classification_report(classify(k4, 5, Budget(max_order=4)), k4)
+        assert report["unknown_reason"] == "order_cap"
+        jsonschema.validate(report, SCHEMA)
+
+    def test_stop_reasons_are_the_schema_enum(self):
+        props = SCHEMA["properties"]
+        reasons = {r.value for r in StopReason}
+        assert set(props["stop_reason"]["enum"]) == reasons
+        decided = {"empty", "fixed_point", "certificate"}
+        assert set(props["unknown_reason"]["enum"]) == reasons - decided | {None}
 
     def test_report_content(self):
         g = make_tailed_cycle(1, 3)

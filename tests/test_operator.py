@@ -4,16 +4,12 @@ from itertools import combinations
 import pytest
 
 from hline.acceptance import _iter_simple_paths_of_order, _oracle_adjacent_pairs
-from hline.budget import WorkCounter, ResourceLimitError
+from hline.budget import Budget, WorkCounter, ResourceLimitError
+from hline.classify import StopReason, classify
 from hline.families import make_cycle, make_path, make_spider, make_tailed_cycle
 from hline.graph import Graph, components, is_isomorphic, norm_edge
 from hline.minimality import enumerate_connected_graphs
-from hline.operator import (
-    StopReason,
-    hl_iterate,
-    hl_step,
-    pn_adjacent,
-)
+from hline.operator import hl_step, pn_adjacent
 
 from conftest import naive_connected_graphs, naive_pn_adjacent
 
@@ -204,45 +200,44 @@ class TestHlStep:
 
 
 class TestHlIterate:
+    """The sequence of iterates, as the classifier records it."""
+
     def test_limit_cycle_converges_immediately(self):
-        trace = hl_iterate(make_cycle(5), 5, 30, 512)
+        trace = classify(make_cycle(5), 5).trace
         assert trace.stop_reason is StopReason.FIXED_POINT
         assert trace.steps[0].order == 5 and len(trace.steps) == 2
 
     def test_tailed_triangle_reaches_square(self):
-        trace = hl_iterate(make_tailed_cycle(1, 3), 4, 30, 512)
+        trace = classify(make_tailed_cycle(1, 3), 4).trace
         assert trace.stop_reason is StopReason.FIXED_POINT
         assert is_isomorphic(trace.steps[1], make_cycle(4))
 
     def test_path_terminates(self):
-        trace = hl_iterate(make_path(4), 4, 30, 512)
+        trace = classify(make_path(4), 4).trace
         assert trace.stop_reason is StopReason.EMPTY
         assert [h.order for h in trace.steps] == [4, 3, 2, 0]
 
     def test_empty_input_terminates_at_step_zero(self):
-        trace = hl_iterate(Graph(0), 4, 30, 512)
+        trace = classify(Graph(0), 4).trace
         assert trace.stop_reason is StopReason.EMPTY
         assert len(trace.steps) == 1
 
     def test_consecutive_steps_related_by_one_application(self):
-        trace = hl_iterate(make_tailed_cycle(2, 4), 6, 30, 512)
+        trace = classify(make_tailed_cycle(2, 4), 6).trace
+        assert len(trace.steps) > 2
         for prev, cur in zip(trace.steps, trace.steps[1:]):
             assert hl_step(prev, 6) == cur
 
     def test_iteration_cap(self):
-        trace = hl_iterate(make_tailed_cycle(3, 3), 6, 1, 512)
+        trace = classify(make_tailed_cycle(3, 3), 6, Budget(max_iter=1)).trace
         assert trace.stop_reason is StopReason.ITER_CAP
         assert len(trace.steps) == 2
 
     def test_order_cap(self):
-        trace = hl_iterate(Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5)]), 4, 30, 8)
+        # K4 holds no certificate at n = 5, and its image has order 6
+        trace = classify(Graph(4, combinations(range(4), 2)), 5, Budget(max_order=4)).trace
         assert trace.stop_reason is StopReason.ORDER_CAP
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            hl_iterate(make_cycle(4), 4, 0, 512)
-        with pytest.raises(ValueError):
-            hl_iterate(make_cycle(4), 4, 5, 3)
+        assert [h.order for h in trace.steps] == [4, 6]
 
 
 def test_search_budget_is_enforced():
@@ -252,6 +247,6 @@ def test_search_budget_is_enforced():
 
 
 def test_iterate_stops_with_step_exhausted_when_a_step_exhausts_its_budget():
-    trace = hl_iterate(make_cycle(12), 12, 30, 512, WorkCounter(5))
+    trace = classify(make_cycle(12), 12, Budget(search_nodes=5)).trace
     assert trace.stop_reason is StopReason.STEP_EXHAUSTED
     assert len(trace.steps) == 1
