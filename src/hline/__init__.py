@@ -37,7 +37,6 @@ from .graph import (
     canonical_code,
     circumference,
     components,
-    disjoint_union,
     girth,
     is_cycle_graph,
     is_isomorphic,
@@ -59,13 +58,12 @@ from .minimality import (
     arm_decomposition,
     enumerate_connected_graphs,
     find_minimal_members,
-    is_minimally_convergent,
     minimality_decision,
     proper_subgraphs,
     property_suite,
     run_conjecture,
 )
-from .operator import hl_step, pn_adjacent
+from .operator import hl_step
 
 __all__ = [
     "ArmDecomposition",
@@ -96,14 +94,12 @@ __all__ = [
     "classify",
     "components",
     "tailed_cycles_of_total_order",
-    "disjoint_union",
     "enumerate_connected_graphs",
     "find_minimal_members",
     "girth",
     "hl_step",
     "is_cycle_graph",
     "is_isomorphic",
-    "is_minimally_convergent",
     "make_cycle",
     "make_chorded_cycle",
     "make_tailed_cycle",
@@ -112,7 +108,6 @@ __all__ = [
     "minimality_decision",
     "parse_family_spec",
     "parse_graph",
-    "pn_adjacent",
     "proper_subgraphs",
     "property_suite",
     "render_edge_list",

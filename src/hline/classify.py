@@ -216,9 +216,9 @@ def check_long_tail(
     shortest tail that suffices, r = max(n - m, 0) + 1, so m + r is
     max(m, n) + 1 and not necessarily the largest total.  Tails are
     searched only to that order.  `max_cycle_len` restricts the cycle
-    search; the classifier passes n - 1 because the long-cycle check has
-    already disposed of every component holding a cycle of length >= n
-    that is not the whole component.
+    search; `_tail_certificates` caps the classifier's walk at n - 1
+    because the long-cycle check has already disposed of every component
+    holding a cycle of length >= n that is not the whole component.
     """
     if counter is None:
         counter = WorkCounter()

@@ -83,13 +83,16 @@ def tailed_cycles_of_total_order(n: int) -> list[Graph]:
 # Textual family specs ("C6", "P4", "G(r=2,m=4)", "F7", "CL(3,3,2)")
 # ---------------------------------------------------------------------------
 
-_SPEC_PATTERNS = [
-    ("cycle", re.compile(r"^C(\d+)$")),
-    ("path", re.compile(r"^P(\d+)$")),
-    ("tailed_cycle", re.compile(r"^G\(r=(\d+),m=(\d+)\)$")),
-    ("chorded_cycle", re.compile(r"^F(\d+)$")),
-    ("spider", re.compile(r"^CL\((\d+),(\d+),(\d+)\)$")),
-]
+# kind -> (spec pattern, constructor, rendering format)
+_FAMILIES = {
+    "cycle": (re.compile(r"^C(\d+)$"), make_cycle, "C{}"),
+    "path": (re.compile(r"^P(\d+)$"), make_path, "P{}"),
+    "tailed_cycle": (
+        re.compile(r"^G\(r=(\d+),m=(\d+)\)$"), make_tailed_cycle, "G(r={},m={})"
+    ),
+    "chorded_cycle": (re.compile(r"^F(\d+)$"), make_chorded_cycle, "F{}"),
+    "spider": (re.compile(r"^CL\((\d+),(\d+),(\d+)\)$"), make_spider, "CL({},{},{})"),
+}
 
 
 @dataclass(frozen=True)
@@ -97,37 +100,22 @@ class FamilySpec:
     kind: str
     params: tuple[int, ...]
 
+    def _family(self):
+        if self.kind not in _FAMILIES:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        return _FAMILIES[self.kind]
+
     def build(self) -> Graph:
-        p = self.params
-        if self.kind == "cycle":
-            return make_cycle(p[0])
-        if self.kind == "path":
-            return make_path(p[0])
-        if self.kind == "tailed_cycle":
-            return make_tailed_cycle(p[0], p[1])
-        if self.kind == "chorded_cycle":
-            return make_chorded_cycle(p[0])
-        if self.kind == "spider":
-            return make_spider(*p)
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        return self._family()[1](*self.params)
 
     def render(self) -> str:
-        p = self.params
-        if self.kind == "cycle":
-            return f"C{p[0]}"
-        if self.kind == "path":
-            return f"P{p[0]}"
-        if self.kind == "tailed_cycle":
-            return f"G(r={p[0]},m={p[1]})"
-        if self.kind == "chorded_cycle":
-            return f"F{p[0]}"
-        return f"CL({p[0]},{p[1]},{p[2]})"
+        return self._family()[2].format(*self.params)
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse a family spec string; raises ValueError on no match."""
     compact = text.replace(" ", "")
-    for kind, pat in _SPEC_PATTERNS:
+    for kind, (pat, _, _) in _FAMILIES.items():
         m = pat.match(compact)
         if m:
             return FamilySpec(kind, tuple(int(x) for x in m.groups()))

@@ -9,6 +9,7 @@ and budgeted rather than heuristic, because every graph in scope is small.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 
 from .budget import ResourceLimitError, WorkCounter
@@ -99,12 +100,6 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     keep = set(old_ids)
     edges = [(idx[u], idx[v]) for u, v in g.edges() if u in keep and v in keep]
     return Graph(len(old_ids), edges), old_ids
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    shift = g1.order
-    edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
-    return Graph(g1.order + g2.order, edges)
 
 
 def components(g: Graph) -> list[frozenset[int]]:
@@ -289,7 +284,15 @@ def _canonical_rows(
                 eq = True
         return n
 
-    search(0, False)
+    # search recurses once per position, so a large order needs a deeper
+    # stack than the default limit leaves below the callers' frames
+    limit = sys.getrecursionlimit()
+    if n > limit // 2:
+        sys.setrecursionlimit(limit + n)
+    try:
+        search(0, False)
+    finally:
+        sys.setrecursionlimit(limit)
     assert improved
     return best, autos, best_perm
 

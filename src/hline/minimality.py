@@ -220,11 +220,6 @@ def minimality_decision(
     return MinimalityResult("unknown" if saw_unknown else "yes", top, audit)
 
 
-def is_minimally_convergent(g: Graph, n: int, budget: Budget = Budget()) -> str:
-    """'yes', 'no', or 'unknown' per the minimal-convergence definition."""
-    return minimality_decision(g, n, budget).status
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of small connected graphs
 # ---------------------------------------------------------------------------

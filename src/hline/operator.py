@@ -20,14 +20,7 @@ iterates it.
 from __future__ import annotations
 
 from .budget import WorkCounter
-from .graph import Edge, Graph, norm_edge, simple_paths
-
-
-def _check_edge(g: Graph, e: Edge) -> Edge:
-    e = norm_edge(*e)
-    if not g.has_edge(*e):
-        raise ValueError(f"edge {e} not in graph")
-    return e
+from .graph import Graph, norm_edge, simple_paths
 
 
 def _two_disjoint_extensions(
@@ -69,33 +62,6 @@ def _two_disjoint_extensions(
         if found:
             return True
     return False
-
-
-def pn_adjacent(
-    g: Graph, e: Edge, f: Edge, n: int, counter: WorkCounter | None = None
-) -> bool:
-    """True iff e and f share an endpoint and lie on a common simple path
-    with exactly n vertices."""
-    if n < 4:
-        raise ValueError(f"path order parameter must be >= 4, got {n}")
-    e = _check_edge(g, e)
-    f = _check_edge(g, f)
-    if e == f:
-        raise ValueError("edges must be distinct")
-    shared = set(e) & set(f)
-    if len(shared) != 1:
-        return False
-    v = shared.pop()
-    u = e[0] if e[1] == v else e[1]
-    w = f[0] if f[1] == v else f[1]
-    if counter is None:
-        counter = WorkCounter()
-    return _two_disjoint_extensions(g, u, v, w, n, counter, {})
-
-
-# ---------------------------------------------------------------------------
-# One derived-graph step
-# ---------------------------------------------------------------------------
 
 
 def hl_step(g: Graph, n: int, counter: WorkCounter | None = None) -> Graph:

@@ -11,9 +11,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 from hline import cli, minimality
-from hline.acceptance import _iter_simple_paths_of_order
 from hline.classify import Outcome
-from hline.graph import Edge, Graph, canonical_code, disjoint_union, norm_edge
+from hline.graph import Graph, canonical_code, norm_edge
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -30,15 +29,11 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
-def naive_pn_adjacent(g: Graph, e: Edge, f: Edge, n: int) -> bool:
-    """Whole-path enumeration oracle for pn_adjacent."""
-    e = norm_edge(*e)
-    f = norm_edge(*f)
-    for path in _iter_simple_paths_of_order(g, n):
-        path_edges = {norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
-        if e in path_edges and f in path_edges:
-            return True
-    return False
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """g1 beside g2, whose vertex v becomes g1.order + v."""
+    shift = g1.order
+    edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
+    return Graph(g1.order + g2.order, edges)
 
 
 def brute_cycle_lengths(g: Graph) -> list[int]:

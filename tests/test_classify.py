@@ -33,7 +33,6 @@ from hline.graph import (
     Graph,
     canonical_code,
     components,
-    disjoint_union,
     induced_subgraph,
     is_cycle_graph,
     is_isomorphic,
@@ -46,6 +45,7 @@ from conftest import (
     brute_circumference,
     brute_tailed_cycle_edge_sets,
     brute_tailed_cycle_totals,
+    disjoint_union,
     naive_connected_graphs,
     nx_spider_parameters,
 )

@@ -26,6 +26,20 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_public_names_resolve_and_the_test_only_ones_are_gone():
+    for name in hline.__all__:
+        assert getattr(hline, name) is not None, name
+    # tests build disjoint unions themselves (conftest.disjoint_union)
+    for module, name in [
+        (hline.operator, "pn_adjacent"),
+        (hline.operator, "_check_edge"),
+        (hline.minimality, "is_minimally_convergent"),
+        (hline.graph, "disjoint_union"),
+    ]:
+        assert name not in hline.__all__
+        assert not hasattr(hline, name) and not hasattr(module, name)
+
+
 def test_family_prints_both_formats(capsys):
     code, out, _ = run(capsys, "family", "CL(3,3,2)")
     assert code == EXIT_OK

@@ -92,6 +92,7 @@ def test_spec_parsing_round_trip():
     ]:
         spec = parse_family_spec(text)
         assert spec.build() == expected
+        assert spec.render() == text
         assert parse_family_spec(spec.render()) == spec
 
 
@@ -103,3 +104,8 @@ def test_spec_parse_errors():
     for bad in ("", "X9", "G(2,4)", "CL(3,3)", "C", "F",):
         with pytest.raises(ValueError):
             parse_family_spec(bad)
+
+
+def test_unknown_family_kind_is_rejected():
+    with pytest.raises(ValueError):
+        FamilySpec("bogus", ()).build()

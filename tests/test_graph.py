@@ -20,7 +20,6 @@ from hline.graph import (
     circumference,
     component_of,
     components,
-    disjoint_union,
     girth,
     induced_subgraph,
     is_connected,
@@ -38,6 +37,7 @@ from conftest import (
     brute_circumference,
     brute_girth,
     brute_isomorphic,
+    disjoint_union,
     naive_connected_graphs,
 )
 

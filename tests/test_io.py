@@ -162,6 +162,16 @@ class TestReportSchema:
         assert report["unknown_reason"] == "order_cap"
         jsonschema.validate(report, SCHEMA)
 
+    def test_graphs_deeper_than_the_recursion_limit_are_labeled(self):
+        # the labeling search recurses once per vertex
+        c1000 = make_cycle(1000)
+        report = classification_report(classify(c1000, 6), c1000)
+        assert report["outcome"] == "converged" and report["N"] == 0
+        jsonschema.validate(report, SCHEMA)
+        tailed = make_tailed_cycle(2, 998)
+        report = classification_report(classify(tailed, 6), tailed)
+        assert report["certificate"]["kind"] == "long_cycle"
+
     def test_stop_reasons_are_the_schema_enum(self):
         props = SCHEMA["properties"]
         reasons = {r.value for r in StopReason}

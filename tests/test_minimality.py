@@ -20,7 +20,6 @@ from hline.graph import (
     Graph,
     canonical_code,
     components,
-    disjoint_union,
     induced_subgraph,
     is_connected,
     is_isomorphic,
@@ -33,7 +32,6 @@ from hline.minimality import (
     arm_decomposition,
     enumerate_connected_graphs,
     find_minimal_members,
-    is_minimally_convergent,
     minimality_decision,
     proper_subgraphs,
     property_suite,
@@ -44,6 +42,7 @@ from hline.operator import hl_step
 
 from conftest import (
     all_labeled_graphs,
+    disjoint_union,
     naive_connected_graphs,
     naive_minimal_classes,
     naive_minimality,
@@ -124,10 +123,10 @@ class TestProperSubgraphs:
 
 class TestMinimalityDecision:
     def test_tailed_cycle_is_minimal(self):
-        assert is_minimally_convergent(make_tailed_cycle(1, 4), 5) == "yes"
+        assert minimality_decision(make_tailed_cycle(1, 4), 5).status == "yes"
 
     def test_limit_cycle_is_minimal(self):
-        assert is_minimally_convergent(make_cycle(5), 5) == "yes"
+        assert minimality_decision(make_cycle(5), 5).status == "yes"
 
     def test_union_with_extra_edge_is_not_minimal(self):
         g = disjoint_union(make_tailed_cycle(1, 4), make_path(2))
@@ -136,7 +135,7 @@ class TestMinimalityDecision:
         assert result.blocker_code_hex == canonical_code(make_tailed_cycle(1, 4)).hex()
 
     def test_terminating_graph_is_not_minimal(self):
-        assert is_minimally_convergent(make_spider(1, 1, 1), 4) == "no"
+        assert minimality_decision(make_spider(1, 1, 1), 4).status == "no"
 
     def test_isolated_vertices_rejected(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,9 @@ from hline.classify import StopReason, classify
 from hline.families import make_cycle, make_path, make_spider, make_tailed_cycle
 from hline.graph import Graph, components, is_isomorphic, norm_edge
 from hline.minimality import enumerate_connected_graphs
-from hline.operator import hl_step, pn_adjacent
+from hline.operator import hl_step
 
-from conftest import naive_connected_graphs, naive_pn_adjacent
+from conftest import naive_connected_graphs
 
 
 def on_full_paths(g: Graph, n: int) -> list:
@@ -21,66 +21,40 @@ def on_full_paths(g: Graph, n: int) -> list:
     return [e for i, e in enumerate(g.edges()) if h.degree(i) > 0]
 
 
+def adjacent(g: Graph, e, f, n: int) -> bool:
+    """Whether the step joins the vertices of edges e and f."""
+    edges = g.edges()
+    return hl_step(g, n).has_edge(edges.index(e), edges.index(f))
+
+
 class TestPnAdjacent:
+    # two edges are P_n-adjacent when the step joins their vertices
     def test_cycle_edges_share_full_path(self):
-        assert pn_adjacent(make_cycle(5), (0, 1), (1, 2), 5)
+        assert adjacent(make_cycle(5), (0, 1), (1, 2), 5)
 
     def test_star_edges_never_adjacent(self):
         star = make_spider(1, 1, 1)
         for e, f in combinations(star.edges(), 2):
-            assert not pn_adjacent(star, e, f, 4)
+            assert not adjacent(star, e, f, 4)
 
     def test_spider_center_edges_adjacent(self):
         g = make_spider(3, 3, 2)
-        assert naive_pn_adjacent(g, (0, 1), (0, 4), 6)
-        assert pn_adjacent(g, (0, 1), (0, 4), 6)
+        assert ((0, 1), (0, 4)) in _oracle_adjacent_pairs(g, 6)
+        assert adjacent(g, (0, 1), (0, 4), 6)
 
     def test_disjoint_edges_not_adjacent(self):
-        assert not pn_adjacent(make_cycle(6), (0, 1), (3, 4), 6)
-
-    def test_invalid_edge_rejected(self):
-        with pytest.raises(ValueError):
-            pn_adjacent(make_cycle(4), (0, 2), (0, 1), 4)
-
-    def test_equal_edges_rejected(self):
-        with pytest.raises(ValueError):
-            pn_adjacent(make_cycle(4), (0, 1), (1, 0), 4)
+        assert not adjacent(make_cycle(6), (0, 1), (3, 4), 6)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            pn_adjacent(make_cycle(4), (0, 1), (1, 2), 3)
+            hl_step(make_cycle(4), 3)
 
     def test_adjacency_implies_one_shared_endpoint(self):
         for g in enumerate_connected_graphs(6):
+            edges = g.edges()
             for n in (4, 5):
-                for e, f in combinations(g.edges(), 2):
-                    if pn_adjacent(g, e, f, n):
-                        assert len(set(e) & set(f)) == 1
-
-    def test_matches_naive_oracle_up_to_order_6(self):
-        for g in enumerate_connected_graphs(6):
-            for n in (4, 5, 6):
-                for e, f in combinations(g.edges(), 2):
-                    if len(set(e) & set(f)) != 1:
-                        continue
-                    assert pn_adjacent(g, e, f, n) == naive_pn_adjacent(g, e, f, n)
-
-
-    def test_matches_naive_oracle_on_random_graphs_of_order_7_and_8(self):
-        # only here, at n >= 6, do the split searches have total >= 3
-        rng = random.Random(78)
-        for _ in range(20):
-            order = rng.randint(7, 8)
-            edges = [e for e in combinations(range(order), 2) if rng.random() < 0.4]
-            g = Graph(order, edges)
-            for n in (6, 7, 8):
-                for e, f in combinations(g.edges(), 2):
-                    if len(set(e) & set(f)) == 1:
-                        assert pn_adjacent(g, e, f, n) == naive_pn_adjacent(g, e, f, n)
-                assert on_full_paths(g, n) == [
-                    e for e in g.edges()
-                    if any(naive_pn_adjacent(g, e, f, n) for f in g.edges() if f != e)
-                ]
+                for i, j in hl_step(g, n).edges():
+                    assert len(set(edges[i]) & set(edges[j])) == 1
 
 
 class TestEdgeInPn:
@@ -158,10 +132,9 @@ class TestHlStep:
 
 
     def test_matches_the_whole_path_oracle_on_every_pair(self):
-        # one step shares its split-search answers over all its pairs,
-        # which pn_adjacent, with a memo of its own per call, never does;
-        # the oracle enumerates naive_pn_adjacent's whole paths once per
-        # graph.  K7, K8 and K8 - e at n = 9 fail every search
+        # one step shares its split-search answers over all its pairs; the
+        # oracle enumerates whole paths once per graph.  K7, K8 and K8 - e
+        # at n = 9 fail every search
         cases = [(g, n) for n in range(4, 8) for g in naive_connected_graphs(6)]
         complete = [(u, v) for u in range(8) for v in range(u + 1, 8)]
         k7 = Graph(7, [e for e in complete if e[1] < 7])
@@ -173,6 +146,13 @@ class TestHlStep:
             p = rng.uniform(0.4, 0.7)
             g = Graph(order, [e for e in combinations(range(order), 2) if rng.random() < p])
             cases += [(g, n) for n in range(6, 11)]
+        # sparser graphs of order 7 and 8: at n >= 6 the split searches
+        # have n - 3 >= 3 vertices to share between their two sides
+        rng = random.Random(78)
+        for _ in range(20):
+            order = rng.randint(7, 8)
+            g = Graph(order, [e for e in combinations(range(order), 2) if rng.random() < 0.4])
+            cases += [(g, n) for n in range(6, 9)]
         adjacent = 0
         for g, n in cases:
             edges = g.edges()
