@@ -11,8 +11,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 from hline import cli, minimality
+from hline.acceptance import _iter_simple_paths_of_order
 from hline.classify import Outcome
-from hline.graph import Graph, canonical_code, norm_edge
+from hline.graph import Edge, Graph, canonical_code, norm_edge
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -25,6 +26,18 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     for perm in permutations(range(g1.order)):
         if all(norm_edge(perm[u], perm[v]) in e2 for u, v in e1):
+            return True
+    return False
+
+
+def naive_pn_adjacent(g: Graph, e: Edge, f: Edge, n: int) -> bool:
+    """Whole-path enumeration oracle: whether some n-vertex path of g
+    holds both edges e and f."""
+    e = norm_edge(*e)
+    f = norm_edge(*f)
+    for path in _iter_simple_paths_of_order(g, n):
+        path_edges = {norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1)}
+        if e in path_edges and f in path_edges:
             return True
     return False
 

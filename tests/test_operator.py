@@ -11,7 +11,7 @@ from hline.graph import Graph, components, is_isomorphic, norm_edge
 from hline.minimality import enumerate_connected_graphs
 from hline.operator import hl_step
 
-from conftest import naive_connected_graphs
+from conftest import naive_connected_graphs, naive_pn_adjacent
 
 
 def on_full_paths(g: Graph, n: int) -> list:
@@ -55,6 +55,34 @@ class TestPnAdjacent:
             for n in (4, 5):
                 for i, j in hl_step(g, n).edges():
                     assert len(set(edges[i]) & set(edges[j])) == 1
+
+    def test_matches_naive_oracle_up_to_order_6(self):
+        for g in enumerate_connected_graphs(6):
+            edges = g.edges()
+            for n in (4, 5, 6):
+                h = hl_step(g, n)
+                for i, j in combinations(range(len(edges)), 2):
+                    e, f = edges[i], edges[j]
+                    if len(set(e) & set(f)) == 1:
+                        assert h.has_edge(i, j) == naive_pn_adjacent(g, e, f, n)
+
+    def test_matches_naive_oracle_on_random_graphs_of_order_7_and_8(self):
+        # only here, at n >= 6, do the split searches have total >= 3
+        rng = random.Random(78)
+        for _ in range(20):
+            order = rng.randint(7, 8)
+            g = Graph(order, [e for e in combinations(range(order), 2) if rng.random() < 0.4])
+            edges = g.edges()
+            for n in (6, 7, 8):
+                h = hl_step(g, n)
+                for i, j in combinations(range(len(edges)), 2):
+                    e, f = edges[i], edges[j]
+                    if len(set(e) & set(f)) == 1:
+                        assert h.has_edge(i, j) == naive_pn_adjacent(g, e, f, n)
+                assert on_full_paths(g, n) == [
+                    e for e in edges
+                    if any(naive_pn_adjacent(g, e, f, n) for f in edges if f != e)
+                ]
 
 
 class TestEdgeInPn:
@@ -146,13 +174,6 @@ class TestHlStep:
             p = rng.uniform(0.4, 0.7)
             g = Graph(order, [e for e in combinations(range(order), 2) if rng.random() < p])
             cases += [(g, n) for n in range(6, 11)]
-        # sparser graphs of order 7 and 8: at n >= 6 the split searches
-        # have n - 3 >= 3 vertices to share between their two sides
-        rng = random.Random(78)
-        for _ in range(20):
-            order = rng.randint(7, 8)
-            g = Graph(order, [e for e in combinations(range(order), 2) if rng.random() < 0.4])
-            cases += [(g, n) for n in range(6, 9)]
         adjacent = 0
         for g, n in cases:
             edges = g.edges()
