@@ -8,18 +8,21 @@ searched, in a fixed order, on every iterate before the next step:
 * long_cycle: a component with a cycle of length >= n that is not itself
   that cycle.
 * long_tail:  a tailed-cycle subgraph (m-cycle plus pendant path of order r)
-  with m + r > n.
+  with m + r > n, searched only in components of more than n vertices.
 * spider:     a CL(k, k, n-k-1) subgraph with n <= 2k and k + 1 < n, its
   centre searched only in components of at least n + k vertices.
 * twin_tail:  two tailed-cycle subgraphs of total order exactly n, with
-  different edge sets, inside one component.
+  different edge sets, inside one component, searched only in components
+  of at least n vertices.
 
 The classifier runs one tailed-cycle walk for both tail shapes: the
 long-tail walk, with cycles of at most n - 1 vertices, yields every tail of
-n - m vertices on its way to those of n - m + 1.  Its certificates are the
-ones the standalone `check_long_tail` and `check_twin_tail` return, in the
-same precedence; an exhausted walk is flagged `long_tail_exhausted@k=..`,
-so the classifier never flags `twin_tail_exhausted`.
+n - m vertices on its way to those of n - m + 1, and searches only the
+components of at least n vertices, where either shape may lie.  Its
+certificates are the ones the standalone `check_long_tail` and
+`check_twin_tail` return, in the same precedence; an exhausted walk is
+flagged `long_tail_exhausted@k=..`, so the classifier never flags
+`twin_tail_exhausted`.
 
 Certificates re-verify from their stored witnesses alone: the verifier
 recomputes the iterate deterministically and checks the witnessed structure,
@@ -118,10 +121,15 @@ class Classification:
 # ---------------------------------------------------------------------------
 
 
-def _tailed_cycles(g: Graph, counter: WorkCounter, max_cycle_len: int | None, tail_orders):
+def _tailed_cycles(
+    g: Graph, counter: WorkCounter, max_cycle_len: int | None, tail_orders, min_order: int
+):
     """Yield every tailed cycle whose cycle has m <= `max_cycle_len` vertices
     and whose tail has r vertices for some r in `tail_orders(m)`, as the
-    witness payload {m, r, cycle, attach, tail}.
+    witness payload {m, r, cycle, attach, tail}.  The caller promises that
+    every such tailed cycle has m + r >= `min_order`: all its vertices lie
+    in its anchor's component, so anchors in components of fewer vertices
+    are skipped unsearched.
 
     Each cycle is found once, as a vertex sequence starting at its minimum
     vertex, oriented toward the smaller of that vertex's two cycle
@@ -138,8 +146,9 @@ def _tailed_cycles(g: Graph, counter: WorkCounter, max_cycle_len: int | None, ta
     the nodes spent depend on the orders asked, not only on the largest:
     S is skipped only when it has no tail of any of them.
     """
+    comp_of = component_of(g)
     for a in range(g.order):
-        if g.degree(a) < 2:
+        if g.degree(a) < 2 or len(comp_of[a]) < min_order:
             continue
         barren: set[frozenset[int]] = set()
         for path in simple_paths(g, a, counter, range(a), max_cycle_len):
@@ -215,14 +224,17 @@ def check_long_tail(
     An existence search: the witness is the first one found, with the
     shortest tail that suffices, r = max(n - m, 0) + 1, so m + r is
     max(m, n) + 1 and not necessarily the largest total.  Tails are
-    searched only to that order.  `max_cycle_len` restricts the cycle
-    search; `_tail_certificates` caps the classifier's walk at n - 1
-    because the long-cycle check has already disposed of every component
-    holding a cycle of length >= n that is not the whole component.
+    searched only to that order, and only in components of more than n
+    vertices.  `max_cycle_len` restricts the cycle search;
+    `_tail_certificates` caps the classifier's walk at n - 1 because the
+    long-cycle check has already disposed of every component holding a
+    cycle of length >= n that is not the whole component.
     """
     if counter is None:
         counter = WorkCounter()
-    for payload in _tailed_cycles(g, counter, max_cycle_len, lambda m: (max(n - m, 0) + 1,)):
+    for payload in _tailed_cycles(
+        g, counter, max_cycle_len, lambda m: (max(n - m, 0) + 1,), n + 1
+    ):
         return Certificate(CertificateKind.LONG_TAIL, 0, payload)
     return None
 
@@ -291,13 +303,17 @@ def _find_disjoint_legs(
 class _TwinTails:
     """The twin-tail comparison: the first tailed cycle offered in each
     component, against which every later one in that component is matched
-    by edge set."""
+    by edge set.  The components are found at the first offer, so a walk
+    that yields nothing pays for them once, in `_tailed_cycles`."""
 
     def __init__(self, g: Graph):
-        self.comp_of = component_of(g)
+        self.g = g
+        self.comp_of: list[frozenset[int]] | None = None
         self.first: dict[frozenset[int], tuple[frozenset, dict]] = {}
 
     def offer(self, payload: dict) -> Certificate | None:
+        if self.comp_of is None:
+            self.comp_of = component_of(self.g)
         edges = _tailed_cycle_edges(payload)
         first_edges, first = self.first.setdefault(
             self.comp_of[payload["attach"]], (edges, payload)
@@ -311,11 +327,12 @@ def check_twin_tail(
     g: Graph, n: int, counter: WorkCounter | None = None
 ) -> Certificate | None:
     """Two tailed-cycle subgraphs of total order exactly n, with different
-    edge sets, inside the same component."""
+    edge sets, inside the same component; components of fewer than n
+    vertices are skipped unsearched."""
     if counter is None:
         counter = WorkCounter()
     twins = _TwinTails(g)
-    for payload in _tailed_cycles(g, counter, n - 1, lambda m: (n - m,)):
+    for payload in _tailed_cycles(g, counter, n - 1, lambda m: (n - m,), n):
         cert = twins.offer(payload)
         if cert is not None:
             return cert
@@ -336,10 +353,14 @@ def _tail_certificates(
     through `check_twin_tail`'s comparison in the same order, so its
     certificate is the one that check returns.  A twin found early does
     not end the walk, since a long tail takes precedence.
+
+    Every tail the walk asks for has m + r >= n vertices, so it skips the
+    anchors of components with fewer than n vertices, as both checks do:
+    on K8 at n = 9 it spends no node.
     """
     twins = _TwinTails(g)
     twin = None
-    for payload in _tailed_cycles(g, counter, n - 1, lambda m: (n - m, n - m + 1)):
+    for payload in _tailed_cycles(g, counter, n - 1, lambda m: (n - m, n - m + 1), n):
         if payload["m"] + payload["r"] > n:
             return Certificate(CertificateKind.LONG_TAIL, 0, payload), None
         if twin is None:

@@ -6,9 +6,10 @@ Graph arguments accept a family spec ("C6", "G(r=2,m=4)", "F7",
 Exit codes: 0 success, 1 usage error (including an argument value out of
 range, such as --n 3 or the family spec C2, and a --cache-dir that cannot
 be written, such as a file), 2 parse error (a graph argument that is not a
-graph), 3 budget exhausted (a search ran out of its work budget, or under
---strict, a classify outcome or a swept class stayed unknown).  A reader
-that closes stdout early (`| head -1`) leaves the exit code as it is.
+graph), 3 budget exhausted (a search ran out of its work budget, the
+process ran out of memory, or under --strict, a classify outcome or a
+swept class stayed unknown).  A reader that closes stdout early
+(`| head -1`) leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -245,6 +246,9 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -253,6 +253,14 @@ def _canonical_rows(
             scored = [(link[v] >> shift, v) for v in cell]
         else:
             scored = sorted(((link[v] >> shift, v) for v in cell), reverse=True)
+            # only the top row is ever explored: a lower one either breaks
+            # the loop below or follows a leaf that set best[i] to the top
+            # row, so dropping the rest keeps a level's memory to one group
+            top = scored[0][0]
+            k = 1
+            while k < len(scored) and scored[k][0] == top:
+                k += 1
+            del scored[k:]
         tried: list[int] = []
         orbit: dict[int, int] = {}
         seen_autos = 0

@@ -251,10 +251,11 @@ class TestTwinTailCheck:
                         hits += 1
                         assert verify_certificate(h, n, cert)
         assert hits > 0
-        # without the skip of barren cycle vertex sets the two checks spent
-        # 966,713 on the same inputs, and with a cycle and tail loop of their
-        # own each 1,154,200
-        assert spent == 868_713
+        # without the skip of components too small for a witness the two
+        # checks spent 868,713 on the same inputs, without the skip of
+        # barren cycle vertex sets too 966,713, and with a cycle and tail
+        # loop of their own each 1,154,200
+        assert spent == 145_263
 
 
 class TestTailedCycles:
@@ -262,21 +263,23 @@ class TestTailedCycles:
         # every payload of the classifier's walk and of each standalone
         # check's, on every connected graph of order <= 6, alone and beside
         # a k-cycle; the digest is that of the walk without the skip of
-        # barren cycle vertex sets
+        # barren cycle vertex sets or of components too small for a witness
         digest = hashlib.sha256()
         count = 0
         graphs = naive_connected_graphs(6)
         for n in range(4, 9):
             walks = (
-                (n - 1, lambda m: (n - m, n - m + 1)),
-                (None, lambda m: (max(n - m, 0) + 1,)),
-                (n - 1, lambda m: (max(n - m, 0) + 1,)),
-                (n - 1, lambda m: (n - m,)),
+                (n - 1, lambda m: (n - m, n - m + 1), n),
+                (None, lambda m: (max(n - m, 0) + 1,), n + 1),
+                (n - 1, lambda m: (max(n - m, 0) + 1,), n + 1),
+                (n - 1, lambda m: (n - m,), n),
             )
             for g in graphs:
                 for h in [g] + [disjoint_union(make_cycle(k), g) for k in range(3, 9)]:
-                    for max_cycle_len, tail_orders in walks:
-                        for payload in _tailed_cycles(h, WorkCounter(), max_cycle_len, tail_orders):
+                    for max_cycle_len, tail_orders, min_order in walks:
+                        for payload in _tailed_cycles(
+                            h, WorkCounter(), max_cycle_len, tail_orders, min_order
+                        ):
                             digest.update(json.dumps(payload).encode() + b"\n")
                             count += 1
                         digest.update(b"-\n")
@@ -309,9 +312,25 @@ class TestTailCertificates:
                     )
                     kinds[cert and cert.kind] += 1
         assert sum(kinds.values()) == 5_005 and all(kinds.values())
-        # without the skip of barren cycle vertex sets the walk spent 550,686
-        # on the same inputs, and check_long_tail then check_twin_tail 940,461
-        assert spent == 509_820
+        # without the skip of components too small for a witness the walk
+        # spent 509,820 on the same inputs; without the skip of barren cycle
+        # vertex sets too 550,686, and check_long_tail then check_twin_tail
+        # 940,461
+        assert spent == 217_194
+
+    def test_components_too_small_for_a_witness_cost_nothing(self):
+        # every tail the walk asks for has m + r >= n vertices, all in one
+        # component; K8 at n = 9 once spent 93,520 nodes
+        k8 = parse_graph("G~~~~{")
+        graphs = [(k8, 9)] + [(g, n) for n in (7, 8) for g in naive_connected_graphs(6)]
+        for g, n in graphs:
+            counter = WorkCounter()
+            assert _tail_certificates(g, n, counter) == (None, None)
+            assert counter.remaining == WorkCounter().remaining
+        # a long tail has more than n vertices, so K8 at n = 8 holds none
+        counter = WorkCounter()
+        assert check_long_tail(k8, 8, counter) is None
+        assert counter.remaining == WorkCounter().remaining
 
 
 class TestClassify:

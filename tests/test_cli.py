@@ -156,6 +156,17 @@ def test_strict_budget_exit_code(capsys):
     assert json.loads(out)["outcome"] == "unknown"
 
 
+def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "classify", exhaust)
+    code, out, err = run(capsys, "classify", "C6", "--n", "4")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize(
     "spec, outcome",
     [("C30", "converged"), ("G(r=1,m=30)", "diverged_by_order")],
