@@ -21,7 +21,7 @@ from .families import (
     make_tailed_cycle,
     tailed_cycles_of_total_order,
 )
-from .graph import Graph, components, circumference, is_isomorphic, norm_edge
+from .graph import Graph, canonical_code, components, circumference, is_isomorphic, norm_edge
 from .minimality import (
     CONJECTURE_IDS,
     STATUS_COUNTEREXAMPLE,
@@ -370,12 +370,11 @@ def criterion_11() -> CriterionResult:
         report = find_minimal_members(n, 7)
         clf = Classifier(n, Budget())
         for rec in report.records:
-            if rec.minimal_status != "yes":
+            if rec.status != "yes":
                 continue
             checked += 1
-            g = Graph(rec.order, [tuple(e) for e in rec.edges])
-            suite = property_suite(g, n, classifier=clf)
-            failures.extend((n, rec.code_hex, check) for check in suite.failures())
+            suite = property_suite(rec.graph, n, classifier=clf)
+            failures.extend((n, canonical_code(rec.graph).hex(), c) for c in suite.failures())
     return _result(
         11, "structural checks hold on every discovered minimal member",
         not failures and checked > 0, f"{checked} members, failures={failures}", t0, 600,

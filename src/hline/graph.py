@@ -299,6 +299,10 @@ def _canonical_rows(
         sys.setrecursionlimit(limit + n)
     try:
         search(0, False)
+    except SystemError as exc:
+        # running out of memory deep in this recursion can surface as
+        # "SystemError: error return without exception set"
+        raise MemoryError from exc
     finally:
         sys.setrecursionlimit(limit)
     assert improved

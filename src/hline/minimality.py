@@ -106,6 +106,8 @@ class Classifier:
     """
 
     def __init__(self, n: int, budget: Budget, cache=None):
+        if n < 4:
+            raise ValueError(f"path order parameter must be >= 4, got {n}")
         self.n = n
         self.budget = budget
         self.cache = cache
@@ -186,10 +188,27 @@ def _walk(
 
 @dataclass
 class MinimalityResult:
+    graph: Graph
     status: str  # "yes" | "no" | "unknown"
     classification: ClassificationSummary
     audit: list[tuple[str, str]] = field(default_factory=list)
-    blocker_code_hex: str | None = None  # converged proper subgraph, when "no"
+
+    @property
+    def blocker_code_hex(self) -> str | None:
+        """The converged class that decided a `no`: the last one audited."""
+        return self.audit[-1][0] if self.status == "no" and self.audit else None
+
+    def to_json(self) -> dict:
+        g = self.graph
+        return {
+            "code": canonical_code(g).hex(),
+            "order": g.order,
+            "size": g.size,
+            "edges": [list(e) for e in g.edges()],
+            **self.classification.to_json(),
+            "minimal_status": self.status,
+            "audit": [list(pair) for pair in self.audit],
+        }
 
 
 def minimality_decision(
@@ -208,16 +227,16 @@ def minimality_decision(
     clf = classifier if classifier is not None else Classifier(n, budget)
     top = clf.summary(g)
     if top.outcome not in (Outcome.CONVERGED, Outcome.UNKNOWN):
-        return MinimalityResult("no", top)
+        return MinimalityResult(g, "no", top)
     audit: list[tuple[str, str]] = []
     saw_unknown = top.outcome is Outcome.UNKNOWN
     for sub, summ in _walk(g, clf, lambda s: s.outcome is Outcome.UNKNOWN):
         audit.append((canonical_code(sub).hex(), summ.outcome.value))
         if summ.outcome is Outcome.CONVERGED:
-            return MinimalityResult("no", top, audit, audit[-1][0])
+            return MinimalityResult(g, "no", top, audit)
         if summ.outcome is Outcome.UNKNOWN:
             saw_unknown = True
-    return MinimalityResult("unknown" if saw_unknown else "yes", top, audit)
+    return MinimalityResult(g, "unknown" if saw_unknown else "yes", top, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +290,7 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     if e_max is not None and e_max < 0:
         raise ValueError(f"e_max must be >= 0, got {e_max}")
     if v_max < 1:
-        return
+        raise ValueError(f"v_max must be >= 1, got {v_max}")
     if v_max > ENUMERATION_CAP:
         raise ValueError(f"v_max {v_max} exceeds enumeration cap {ENUMERATION_CAP}")
     if e_max is None:
@@ -613,37 +632,11 @@ def property_suite(
 
 
 @dataclass
-class MinimalityRecord:
-    code_hex: str
-    order: int
-    size: int
-    edges: list[list[int]]
-    outcome: str
-    steps_to_outcome: int | None
-    certificate_kind: str | None
-    minimal_status: str
-    audit: list[tuple[str, str]]
-
-    def to_json(self) -> dict:
-        return {
-            "code": self.code_hex,
-            "order": self.order,
-            "size": self.size,
-            "edges": self.edges,
-            "outcome": self.outcome,
-            "steps_to_outcome": self.steps_to_outcome,
-            "certificate_kind": self.certificate_kind,
-            "minimal_status": self.minimal_status,
-            "audit": [list(pair) for pair in self.audit],
-        }
-
-
-@dataclass
 class SearchReport:
     n: int
     v_max: int
     e_max: int | None
-    records: list[MinimalityRecord]  # minimal or undecided graphs only
+    records: list[MinimalityResult]  # minimal or undecided graphs only
     counts: dict[str, int]
     expected_missing: list[str]  # family members that failed to show as minimal
 
@@ -696,27 +689,15 @@ def find_minimal_members(
     its size at most e_max.
     """
     clf = Classifier(n, budget, cache)
-    records: list[MinimalityRecord] = []
+    records: list[MinimalityResult] = []
     counts = {"swept": 0, "yes": 0, "no": 0, "unknown": 0}
     for g in enumerate_connected_graphs(v_max, e_max):
         decision = _decide(g, clf, counts)
-        if decision is None or decision.status == "no":
-            continue
-        records.append(
-            MinimalityRecord(
-                canonical_code(g).hex(),
-                g.order,
-                g.size,
-                [list(e) for e in g.edges()],
-                decision.classification.outcome.value,
-                decision.classification.steps_to_outcome,
-                decision.classification.certificate_kind,
-                decision.status,
-                decision.audit,
-            )
-        )
+        if decision is not None and decision.status != "no":
+            records.append(decision)
 
-    yes_codes = {r.code_hex for r in records if r.minimal_status == "yes"}
+    # the decision labeled each graph, which keeps its code as `_code`
+    yes_codes = {r.graph._code for r in records if r.status == "yes"}
     expected = [(f"tailed_cycle_total_{n}", g) for g in tailed_cycles_of_total_order(n)]
     expected += [(f"C{m}", make_cycle(m)) for m in range(n, v_max + 1)]
     missing = [
@@ -724,10 +705,10 @@ def find_minimal_members(
         for name, graph in expected
         if graph.order <= v_max
         and (e_max is None or graph.size <= e_max)
-        and canonical_code(graph).hex() not in yes_codes
+        and canonical_code(graph) not in yes_codes
     ]
 
-    records.sort(key=lambda r: (r.order, r.size, r.code_hex))
+    records.sort(key=lambda r: (r.graph.order, r.graph.size, r.graph._code))
     return SearchReport(n, v_max, e_max, records, counts, missing)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from hline import cli, minimality
 from hline.acceptance import _iter_simple_paths_of_order
+from hline.budget import WorkCounter
 from hline.classify import Outcome
 from hline.graph import Edge, Graph, canonical_code, norm_edge
 
@@ -244,6 +245,16 @@ def naive_minimal_classes(g: Graph, clf) -> set[bytes]:
         for c in [g, *naive_proper_subgraphs(g)]
         if c.order and naive_minimality(c, clf)[0] == "yes"
     }
+
+
+class SystemErrorCounter(WorkCounter):
+    """A work counter that runs out with the SystemError CPython can raise
+    when memory runs out deep in a recursion, not ResourceLimitError."""
+
+    def spend(self, amount: int = 1) -> None:
+        self.remaining -= amount
+        if self.remaining < 0:
+            raise SystemError("error return without exception set")
 
 
 @pytest.fixture

@@ -11,8 +11,11 @@ import pytest
 
 import hline
 import hline.cli as cli
+import hline.graph as graph
 from hline.budget import Budget
 from hline.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_USAGE, run_cli
+
+from conftest import SystemErrorCounter
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +109,9 @@ def test_usage_error_exit_code(capsys):
         ("classify", "C6", "--n", "3"),
         ("search-min", "--n", "5", "--vmax", "10", "--no-cache"),
         ("hl", "C6", "--n", "3"),
+        ("search-min", "--n", "4", "--vmax", "0", "--no-cache"),
+        ("conjecture", "minimal-implies-unicyclic", "--n", "3", "--vmax", "1", "--no-cache"),
+        ("conjecture", "divergence-iff-long-cycle", "--n", "5", "--vmax", "0", "--no-cache"),
     ],
 )
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
@@ -162,6 +168,19 @@ def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "classify", exhaust)
     code, out, err = run(capsys, "classify", "C6", "--n", "4")
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+def test_system_error_in_labeling_exits_3_as_out_of_memory(capsys, monkeypatch):
+    # memory running out deep in the labeling recursion can surface as a
+    # SystemError; labeling reports it as MemoryError
+    rows = graph._canonical_rows
+    monkeypatch.setattr(
+        graph, "_canonical_rows", lambda g, counter: rows(g, SystemErrorCounter(600))
+    )
+    code, out, err = run(capsys, "classify", "C1000", "--n", "6")
     assert code == EXIT_BUDGET
     assert out == ""
     assert err == "error: out of memory\n"

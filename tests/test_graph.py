@@ -35,6 +35,7 @@ from hline.minimality import enumerate_connected_graphs
 from hline.operator import hl_step
 
 from conftest import (
+    SystemErrorCounter,
     brute_circumference,
     brute_girth,
     brute_isomorphic,
@@ -325,6 +326,12 @@ class TestCanonicalCode:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_system_error_in_the_search_is_out_of_memory(self):
+        # memory running out deep in the recursion can surface as a
+        # SystemError, which the command line would print as a traceback
+        with pytest.raises(MemoryError):
+            canonical_code(make_cycle(1000), counter=SystemErrorCounter(600))
 
 
 class TestIsomorphism:

@@ -606,10 +606,10 @@ class TestFindMinimalMembers:
     def test_small_sweep_for_n4(self):
         report = find_minimal_members(4, 6)
         assert report.expected_missing == []
-        yes = [r for r in report.records if r.minimal_status == "yes"]
-        assert {(r.order, r.size) for r in yes} == {(4, 4), (5, 5), (6, 6)}
+        yes = [r for r in report.records if r.status == "yes"]
+        assert {(r.graph.order, r.graph.size) for r in yes} == {(4, 4), (5, 5), (6, 6)}
         assert len(yes) == 4  # tailed triangle, C4, C5, C6
-        codes = {r.code_hex for r in yes}
+        codes = {canonical_code(r.graph).hex() for r in yes}
         assert canonical_code(make_tailed_cycle(1, 3)).hex() in codes
         for m in (4, 5, 6):
             assert canonical_code(make_cycle(m)).hex() in codes
@@ -617,23 +617,22 @@ class TestFindMinimalMembers:
     def test_delta_family_shows_up_at_n6(self):
         report = find_minimal_members(6, 6)
         assert report.expected_missing == []
-        codes = {r.code_hex for r in report.records if r.minimal_status == "yes"}
+        codes = {canonical_code(r.graph).hex() for r in report.records if r.status == "yes"}
         for member in tailed_cycles_of_total_order(6):
             assert canonical_code(member).hex() in codes
 
     def test_claw_is_not_reported(self):
         report = find_minimal_members(4, 4)
-        codes = {r.code_hex for r in report.records}
+        codes = {canonical_code(r.graph).hex() for r in report.records}
         assert canonical_code(make_spider(1, 1, 1)).hex() not in codes
 
     def test_yes_records_carry_full_audit(self):
         # the audit of a yes record lists its one-edge deletion classes
         report = find_minimal_members(5, 5)
         for rec in report.records:
-            if rec.minimal_status == "yes":
-                g = Graph(rec.order, [tuple(e) for e in rec.edges])
+            if rec.status == "yes":
                 assert [code for code, _ in rec.audit] == [
-                    canonical_code(s).hex() for s in proper_subgraphs(g)
+                    canonical_code(s).hex() for s in proper_subgraphs(rec.graph)
                 ]
 
     def test_warm_sweep_reads_the_cache(self, tmp_path):
@@ -677,7 +676,7 @@ class TestFindMinimalMembers:
             calls += 1
             return degree(self, v)
 
-        decided = minimality.MinimalityResult("no", None)
+        decided = minimality.MinimalityResult(Graph(0), "no", None)
         monkeypatch.setattr(minimality, "minimality_decision", lambda *args: decided)
         monkeypatch.setattr(Graph, "degree", counting)
         clf = Classifier(4, Budget())
