@@ -160,14 +160,14 @@ def _refined_colors(g: Graph) -> list[int]:
     # after it changes anything
     while len(rank) < n:
         sigs = [
-            (colors[v], tuple(sorted([colors[u] for u in nbrs])))
+            (colors[v], tuple(sorted(map(colors.__getitem__, nbrs))))
             for v, nbrs in enumerate(adj)
         ]
         classes = len(rank)
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
         if len(rank) == classes:
             break
+        colors = [rank[s] for s in sigs]
     return colors
 
 
@@ -197,15 +197,23 @@ def _canonical_rows(
     that holds the best leaf onto the current subtree, so the search jumps
     back to the node where they part.  At a node, a candidate in the same
     orbit as an already tried one, under the automorphisms found so far
-    that fix the placed prefix pointwise, is skipped.  Both prunings only
-    drop subtrees whose row vectors a finished subtree already holds, so
-    the maximum, and with it the code, is that of the unpruned search.
-    Each node spends one unit of `counter`.
+    that fix the placed prefix pointwise, is skipped.  So is a candidate v
+    that is a twin of an already tried u, N(u) - v = N(v) - u, one test on
+    neighbourhood bit masks: the transposition (u v) is an automorphism
+    that fixes the prefix pointwise, so it maps u's finished subtree onto
+    v's.  The three prunings only drop subtrees whose row vectors a
+    finished subtree already holds, and a dropped subtree never comes
+    before the one holding its image, so the maximum, the first leaf that
+    reaches it and with them the code and the order are those of the
+    unpruned search.  Each node spends one unit of `counter`; a singleton
+    cell's node places its one vertex with no sort and no orbits.
 
     Returns the rows, the automorphisms found, each as a list mapping
     vertex v to gamma[v], and the best leaf's order, whose entry p is the
     vertex at position p.  The automorphisms are a subset of the
-    automorphism group, not necessarily generators of all of it.
+    automorphism group, not necessarily generators of all of it.  They
+    include the transposition (u v) of each twin v skipped, at its first
+    skip only, so twins add at most one automorphism per vertex.
     """
     n = g.order
     colors = _refined_colors(g)
@@ -225,11 +233,13 @@ def _canonical_rows(
     autos: list[list[int]] = []
     rows: list[int] = []
     placed: list[int] = []
+    masks: list[int] | None = None  # neighbourhood bit masks, built at the first tie
+    swapped = [False] * n  # whether autos holds a twin transposition moving v
 
     def search(i: int, eq: bool) -> int:
         """Explore below the placed prefix of length i; returns the depth
         whose node resumes its loop, n when no subtree is abandoned."""
-        nonlocal best, best_perm, improved
+        nonlocal best, best_perm, improved, masks
         counter.spend()
         if i == n:
             if not eq:
@@ -250,29 +260,56 @@ def _canonical_rows(
         shift = n - i
         bit = 1 << (shift - 1)
         if len(cell) == 1:
-            scored = [(link[v] >> shift, v) for v in cell]
-        else:
-            scored = sorted(((link[v] >> shift, v) for v in cell), reverse=True)
-            # only the top row is ever explored: a lower one either breaks
-            # the loop below or follows a leaf that set best[i] to the top
-            # row, so dropping the rest keeps a level's memory to one group
-            top = scored[0][0]
-            k = 1
-            while k < len(scored) and scored[k][0] == top:
-                k += 1
-            del scored[k:]
+            # the only candidate, and no later position draws on its cell
+            (v,) = cell
+            row = link[v] >> shift
+            if eq and row < best[i]:
+                return n
+            rows.append(row)
+            placed.append(v)
+            for w in adj[v]:
+                link[w] |= bit
+            resume = search(i + 1, eq and row == best[i])
+            for w in adj[v]:
+                link[w] ^= bit
+            placed.pop()
+            rows.pop()
+            return resume if resume < i else n
+        scored = sorted(((link[v] >> shift, v) for v in cell), reverse=True)
+        # only the top row is ever explored: a lower one either breaks the
+        # loop below or follows a leaf that set best[i] to the top row, so
+        # dropping the rest keeps a level's memory to one group
+        top = scored[0][0]
+        k = 1
+        while k < len(scored) and scored[k][0] == top:
+            k += 1
+        del scored[k:]
         tried: list[int] = []
         orbit: dict[int, int] = {}
         seen_autos = 0
         for row, v in scored:
             if eq and row < best[i]:
                 break  # candidates come in falling row order
-            if tried and len(autos) > seen_autos:
-                seen_autos = len(autos)
-                fixing = [a for a in autos if all(a[u] == u for u in placed)]
-                orbit = _orbits(cell, fixing)
-            if orbit and orbit[v] in {orbit[u] for u in tried}:
-                continue
+            if tried:
+                if masks is None:
+                    masks = [sum(1 << w for w in nbrs) for nbrs in adj]
+                mv = masks[v]
+                twin = next(
+                    (u for u in tried if not (masks[u] ^ mv) & ~(1 << u | 1 << v)), None
+                )
+                if twin is not None:
+                    if not swapped[v]:
+                        swapped[v] = True
+                        gamma = list(range(n))
+                        gamma[twin], gamma[v] = v, twin
+                        autos.append(gamma)
+                    continue
+                if len(autos) > seen_autos:
+                    seen_autos = len(autos)
+                    fixing = [a for a in autos if all(a[u] == u for u in placed)]
+                    orbit = _orbits(cell, fixing)
+                if orbit and orbit[v] in {orbit[u] for u in tried}:
+                    continue
             rows.append(row)
             placed.append(v)
             cell.remove(v)

@@ -222,7 +222,7 @@ def minimality_decision(
     the decision `unknown`.  An `unknown` g walks the same deletions: a
     convergent one decides `no`, and otherwise g stays `unknown`.
     """
-    if any(g.degree(v) == 0 for v in range(g.order)):
+    if not all(g._adj):
         raise ValueError("minimality is decided on graphs without isolated vertices")
     clf = classifier if classifier is not None else Classifier(n, budget)
     top = clf.summary(g)
@@ -698,14 +698,15 @@ def find_minimal_members(
 
     # the decision labeled each graph, which keeps its code as `_code`
     yes_codes = {r.graph._code for r in records if r.status == "yes"}
-    expected = [(f"tailed_cycle_total_{n}", g) for g in tailed_cycles_of_total_order(n)]
-    expected += [(f"C{m}", make_cycle(m)) for m in range(n, v_max + 1)]
+    # every expected graph has order n or more, so none is built when n > v_max
+    expected: list[tuple[str, Graph]] = []
+    if n <= v_max:
+        expected = [(f"tailed_cycle_total_{n}", g) for g in tailed_cycles_of_total_order(n)]
+        expected += [(f"C{m}", make_cycle(m)) for m in range(n, v_max + 1)]
     missing = [
         name
         for name, graph in expected
-        if graph.order <= v_max
-        and (e_max is None or graph.size <= e_max)
-        and canonical_code(graph) not in yes_codes
+        if (e_max is None or graph.size <= e_max) and canonical_code(graph) not in yes_codes
     ]
 
     records.sort(key=lambda r: (r.graph.order, r.graph.size, r.graph._code))

@@ -6,7 +6,7 @@ subset scans) so they stay independent of the search strategies they check.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -29,6 +29,36 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
         if all(norm_edge(perm[u], perm[v]) in e2 for u, v in e1):
             return True
     return False
+
+
+def brute_canonical_code(g: Graph) -> bytes:
+    """canonical_code by its definition, with no pruning: refine colours
+    from the degrees until they stop changing, each round ranking the
+    sorted (colour, sorted neighbour colours) pairs, then take the greatest
+    lower-triangle bit string over every vertex order that lists the
+    colour classes in colour order and each class in any order."""
+    n = g.order
+    edges = set(g.edges())
+    colors = [g.degree(v) for v in range(n)]
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in g.neighbors(v)))) for v in range(n)]
+        ranks = sorted(set(sigs))
+        refined = [ranks.index(s) for s in sigs]
+        if refined == colors:
+            break
+        colors = refined
+    classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+    best = None
+    for parts in product(*(permutations(cls) for cls in classes)):
+        order = [v for part in parts for v in part]
+        bits = [norm_edge(order[i], order[j]) in edges for i in range(n) for j in range(i)]
+        if best is None or bits > best:
+            best = bits
+    acc = 0
+    for bit in best:
+        acc = acc << 1 | bit
+    pad = -len(best) % 8
+    return n.to_bytes(4, "big") + (acc << pad).to_bytes((len(best) + pad) // 8, "big")
 
 
 def naive_pn_adjacent(g: Graph, e: Edge, f: Edge, n: int) -> bool:

@@ -36,6 +36,7 @@ from hline.operator import hl_step
 
 from conftest import (
     SystemErrorCounter,
+    brute_canonical_code,
     brute_circumference,
     brute_girth,
     brute_isomorphic,
@@ -77,6 +78,37 @@ PETERSEN = Graph(
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     + [(i, i + 5) for i in range(5)],
 )
+
+
+def complete_multipartite(*parts: int) -> Graph:
+    blocks, start = [], 0
+    for size in parts:
+        blocks.append(range(start, start + size))
+        start += size
+    return Graph(start, [(u, v) for a, b in combinations(blocks, 2) for u in a for v in b])
+
+
+def with_pendant_pairs(g: Graph, anchors) -> Graph:
+    """g with two new leaves hung on each anchor vertex."""
+    edges = list(g.edges())
+    n = g.order
+    for a in anchors:
+        edges += [(a, n), (a, n + 1)]
+        n += 2
+    return Graph(n, edges)
+
+
+# graphs of order 7-8 whose colour classes are mostly twins
+TWIN_RICH = {
+    "K1,6": complete_multipartite(1, 6),
+    "K1,7": complete_multipartite(1, 7),
+    "K3,3": complete_multipartite(3, 3),
+    "K2,5": complete_multipartite(2, 5),
+    "K2,2,2": complete_multipartite(2, 2, 2),
+    "C4 with pairs at opposite vertices": with_pendant_pairs(make_cycle(4), (0, 2)),
+    "C4 with pairs at adjacent vertices": with_pendant_pairs(make_cycle(4), (0, 1)),
+    "triangle with pairs at two vertices": with_pendant_pairs(make_cycle(3), (0, 1)),
+}
 
 
 def shuffled(g: Graph, rng: random.Random) -> Graph:
@@ -170,15 +202,26 @@ class TestCanonicalCode:
             "e76de4efbba65a5c4bb489cc52bf9c2b62d1949b3f322142151d93d62e0b70c3"
         )
 
+    def test_code_is_the_unpruned_maximum_on_small_classes(self):
+        for g in naive_connected_graphs(6):
+            assert canonical_code(Graph(g.order, g.edges())) == brute_canonical_code(g)
+
+    @pytest.mark.parametrize("name", TWIN_RICH)
+    def test_code_is_the_unpruned_maximum_on_twin_rich_graphs(self, name):
+        g = TWIN_RICH[name]
+        for h in (g, shuffled(g, random.Random(name))):
+            assert canonical_code(h) == brute_canonical_code(h)
+
     def test_labeling_cost_is_pinned(self):
         # nodes spent by a fresh labeling of each connected class of order
-        # <= 7; the search's budget behaviour rests on this count
+        # <= 7; the search's budget behaviour rests on this count (15,390
+        # before twin pruning)
         total = 0
         for g in enumerate_connected_graphs(7):
             fresh = Graph(g.order, g.edges())
             canonical_code(fresh)
             total += fresh._code_nodes
-        assert total == 15_390
+        assert total == 10_294
 
     def test_code_bytes_beyond_order_7_are_pinned(self):
         rng = random.Random(814)
@@ -196,7 +239,7 @@ class TestCanonicalCode:
         assert digest.hexdigest() == (
             "ea29e4cf1bff562bedf14f851d95572efc7a5786b9b5fb728bef07f1641b588e"
         )
-        assert nodes == 3_276
+        assert nodes == 2_978  # 3,276 before twin pruning
 
     @pytest.mark.parametrize("k", [7, 8])
     def test_perfect_matchings_label_under_the_default_counter(self, k):

@@ -665,6 +665,19 @@ class TestFindMinimalMembers:
             "C5",
         ]
 
+    def test_large_n_over_a_small_vmax_builds_no_expected_family(self, monkeypatch):
+        # every expected member has order n or more, above v_max; building
+        # the n tailed cycles of order n kept search-min --n 20000 --vmax 3
+        # running past a minute
+        def refuse(n):
+            raise AssertionError(f"built an expected family at order {n}")
+
+        monkeypatch.setattr(minimality, "tailed_cycles_of_total_order", refuse)
+        monkeypatch.setattr(minimality, "make_cycle", refuse)
+        report = find_minimal_members(20_000, 3)
+        assert report.expected_missing == [] and report.records == []
+        assert report.counts["swept"] == 3
+
     def test_decide_scans_no_degrees(self, monkeypatch):
         # swept classes are connected: only the order-1 class has an
         # isolated vertex, and its order says so
