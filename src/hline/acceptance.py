@@ -9,8 +9,8 @@ runs past its ceiling fails.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .budget import Budget
 from .classify import Outcome, classify, verify_certificate
@@ -37,8 +37,7 @@ from .minimality import (
 from .operator import hl_step
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     ident: int
     name: str
     passed: bool

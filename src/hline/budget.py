@@ -9,7 +9,7 @@ error and flag the result as budget-limited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_SEARCH_NODES = 10_000_000
 DEFAULT_MAX_ITER = 30
@@ -20,18 +20,23 @@ class ResourceLimitError(RuntimeError):
     """Raised when an exact search exceeds its configured work budget."""
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Caps for one classification run (iteration, order, and search work)."""
-
+class _BudgetFields(NamedTuple):
     max_iter: int = DEFAULT_MAX_ITER
     max_order: int = DEFAULT_MAX_ORDER
     search_nodes: int = DEFAULT_SEARCH_NODES
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+
+class Budget(_BudgetFields):
+    """Caps for one classification run (iteration, order, and search work)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        return self
 
     def counter(self) -> "WorkCounter":
         return WorkCounter(self.search_nodes)

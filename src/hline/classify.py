@@ -31,9 +31,9 @@ never re-running the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
+from typing import NamedTuple
 
 from .budget import Budget, ResourceLimitError, WorkCounter
 from .graph import (
@@ -56,11 +56,29 @@ class CertificateKind(str, Enum):
     TWIN_TAIL = "twin_tail"
 
 
-@dataclass
 class Certificate:
-    kind: CertificateKind
-    found_at_iteration: int
-    witness: dict
+    """A divergence witness.  Mutable: the checks return it with iteration
+    0, and `run_certificate_checks` sets the iteration it was found at."""
+
+    __slots__ = ("kind", "found_at_iteration", "witness")
+
+    def __init__(self, kind: CertificateKind, found_at_iteration: int, witness: dict):
+        self.kind = kind
+        self.found_at_iteration = found_at_iteration
+        self.witness = witness
+
+    def _key(self) -> tuple:
+        return self.kind, self.found_at_iteration, self.witness
+
+    def __eq__(self, other):
+        if other.__class__ is not Certificate:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "Certificate(kind={!r}, found_at_iteration={!r}, witness={!r})".format(
+            *self._key()
+        )
 
     def to_json(self) -> dict:
         return {
@@ -88,8 +106,7 @@ class StopReason(str, Enum):
     CERTIFICATE = "certificate"
 
 
-@dataclass(frozen=True)
-class SequenceTrace:
+class SequenceTrace(NamedTuple):
     """The iterates, steps[k] the k-th, and why the iteration stopped."""
 
     steps: tuple[Graph, ...]
@@ -103,8 +120,7 @@ class Outcome(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class Classification:
+class Classification(NamedTuple):
     outcome: Outcome
     n: int
     steps_to_outcome: int | None  # N for converged/terminated
@@ -113,7 +129,7 @@ class Classification:
     # "order_cap" | "iter_cap" | "step_exhausted" | "canon_exhausted"
     unknown_reason: str | None
     trace: SequenceTrace
-    budget_flags: tuple[str, ...] = field(default_factory=tuple)
+    budget_flags: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +536,38 @@ def _tailed_cycle_edges(payload: dict) -> frozenset:
     return frozenset(edges)
 
 
+def _tailed_cycle_vertices(payload: dict) -> list:
+    return [*payload["cycle"], payload["attach"], *payload["tail"]]
+
+
+def _witness_vertices(kind: CertificateKind, w: dict) -> list:
+    """Every vertex id a witness names."""
+    if kind is CertificateKind.LONG_CYCLE:
+        return [*w["cycle"], *w["component"]]
+    if kind is CertificateKind.LONG_TAIL:
+        return _tailed_cycle_vertices(w)
+    if kind is CertificateKind.SPIDER:
+        return [w["center"], *(v for leg in w["legs"] for v in leg)]
+    if kind is CertificateKind.TWIN_TAIL:
+        return _tailed_cycle_vertices(w["first"]) + _tailed_cycle_vertices(w["second"])
+    return []
+
+
 def verify_certificate(g: Graph, n: int, cert: Certificate) -> bool:
     """Re-check a certificate from its witness alone.
 
-    The iterate it points to is recomputed deterministically; the witnessed
-    structure is then validated edge by edge.  No searching happens here.
+    The iterate it points to is recomputed deterministically.  Every vertex
+    id of the witness must be an int in range(order) of that iterate: a
+    negative id would alias a vertex counted from the end in
+    `Graph.has_edge`, yet count as distinct.  The witnessed structure is
+    then validated edge by edge.  No searching happens here.
     """
     try:
         h = _iterate_to(g, n, cert.found_at_iteration)
         w = cert.witness
+        ids = _witness_vertices(cert.kind, w)
+        if not all(type(v) is int and 0 <= v < h.order for v in ids):
+            return False
         if cert.kind is CertificateKind.LONG_CYCLE:
             cycle = w["cycle"]
             if not _valid_cycle(h, cycle) or len(cycle) != w["m"] or w["m"] < n:

@@ -20,7 +20,6 @@ import os
 import sys
 from contextlib import closing, nullcontext
 
-from .acceptance import run_all
 from .budget import DEFAULT_MAX_ITER, DEFAULT_MAX_ORDER, Budget, ResourceLimitError
 from .cache import ClassificationCache, default_cache_dir
 from .classify import Outcome, classify
@@ -152,6 +151,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    # imported here, so that no other command loads the acceptance suite
+    from .acceptance import run_all
+
     results = run_all()
     for r in results:
         _out(r.line())

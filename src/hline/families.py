@@ -13,7 +13,7 @@ and provenance tables are byte-stable across runs:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -95,8 +95,7 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     kind: str
     params: tuple[int, ...]
 

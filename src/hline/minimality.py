@@ -37,8 +37,8 @@ falsity of a conjecture.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .budget import Budget, ResourceLimitError
 from .classify import Classification, Outcome, check_long_cycle, classify
@@ -66,8 +66,7 @@ ENUMERATION_CAP = 9
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationSummary:
+class ClassificationSummary(NamedTuple):
     outcome: Outcome
     steps_to_outcome: int | None
     certificate_kind: str | None
@@ -186,12 +185,35 @@ def _walk(
         frontier = nxt
 
 
-@dataclass
 class MinimalityResult:
-    graph: Graph
-    status: str  # "yes" | "no" | "unknown"
-    classification: ClassificationSummary
-    audit: list[tuple[str, str]] = field(default_factory=list)
+    """The decision on one class, with the audit of the classes visited."""
+
+    __slots__ = ("graph", "status", "classification", "audit")
+
+    def __init__(
+        self,
+        graph: Graph,
+        status: str,  # "yes" | "no" | "unknown"
+        classification: ClassificationSummary,
+        audit: list[tuple[str, str]] | None = None,
+    ):
+        self.graph = graph
+        self.status = status
+        self.classification = classification
+        self.audit = [] if audit is None else audit
+
+    def _key(self) -> tuple:
+        return self.graph, self.status, self.classification, self.audit
+
+    def __eq__(self, other):
+        if other.__class__ is not MinimalityResult:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (
+            "MinimalityResult(graph={!r}, status={!r}, classification={!r}, audit={!r})"
+        ).format(*self._key())
 
     @property
     def blocker_code_hex(self) -> str | None:
@@ -433,8 +455,7 @@ def _pieces_without(adj: tuple[tuple[int, ...], ...], u: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArmDecomposition:
+class ArmDecomposition(NamedTuple):
     cycle: tuple[int, ...]
     arms: tuple[frozenset[int], ...]  # ordered by minimum vertex
     roots: tuple[int, ...]  # roots[i] is the cycle vertex adjacent to arms[i]
@@ -467,14 +488,12 @@ def arm_decomposition(g: Graph) -> ArmDecomposition | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     status: str  # "pass" | "fail" | "skip"
     note: str = ""
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     n: int
     results: dict[str, CheckResult]
 
@@ -631,8 +650,7 @@ def property_suite(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     n: int
     v_max: int
     e_max: int | None
@@ -725,8 +743,7 @@ STATUS_INCONCLUSIVE = "inconclusive"
 _UNDECIDED = "undecided"
 
 
-@dataclass
-class ConjectureCandidate:
+class ConjectureCandidate(NamedTuple):
     description: str
     graphs: dict[str, dict]  # role -> {"order": .., "edges": [..]}
     claims: dict
@@ -741,8 +758,7 @@ class ConjectureCandidate:
         }
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     conjecture: str
     n: int
     v_max: int
@@ -903,8 +919,7 @@ def _minimal_classes(g: Graph, clf: Classifier) -> tuple[list[Graph], bool]:
     return [c for c, s in zip(live, statuses) if s == "yes"], "unknown" in statuses
 
 
-@dataclass(frozen=True)
-class _Harness:
+class _Harness(NamedTuple):
     predicate: Callable[[Graph, Classifier, dict], ConjectureCandidate | str | None]
     stats: tuple[str, ...]  # report counters, in report order
     refuting: bool = True  # whether a candidate counts as a counterexample

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,9 @@ from hline.budget import Budget
 from hline.classify import (
     Certificate,
     CertificateKind,
+    Classification,
     Outcome,
+    SequenceTrace,
     StopReason,
     _tail_certificates,
     _tailed_cycles,
@@ -447,8 +450,14 @@ class TestClassify:
 
     @pytest.mark.parametrize("field", ["max_iter", "max_order", "search_nodes"])
     def test_negative_budget_rejected(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
             Budget(**{field: -1})
+
+    def test_budget_flags_default_to_an_empty_tuple(self):
+        g = make_cycle(3)
+        trace = SequenceTrace((g,), StopReason.ITER_CAP)
+        c = Classification(Outcome.UNKNOWN, 4, None, None, None, "iter_cap", trace)
+        assert c.budget_flags == ()
 
     def test_input_above_max_order_still_classifies(self):
         c = classify(make_cycle(6), 6, Budget(max_order=3))
@@ -498,7 +507,8 @@ class TestCertificateSoundness:
     def test_certificates_survive_json_round_trip(self):
         g = make_spider(3, 3, 2)
         cert = classify(g, 6).certificate
-        clone = Certificate.from_json(cert.to_json())
+        clone = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+        assert clone == cert
         assert verify_certificate(g, 6, clone)
 
     def test_long_cycle_verification_needs_noncycle_component(self):
@@ -508,6 +518,41 @@ class TestCertificateSoundness:
             {"m": 6, "cycle": [0, 1, 2, 3, 4, 5], "component": [0, 1, 2, 3, 4, 5]},
         )
         assert not verify_certificate(make_cycle(6), 5, cert)
+
+    @pytest.mark.parametrize(
+        "kind, witness",
+        [
+            # Graph.has_edge reads -4 as vertex 0, so the tail closes on the cycle
+            (CertificateKind.LONG_TAIL,
+             {"m": 3, "r": 2, "cycle": [0, 1, 2], "attach": 0, "tail": [3, -4]}),
+            # -2 and -3 name vertices 2 and 1 again
+            (CertificateKind.SPIDER,
+             {"k": 2, "d": 1, "center": 0, "legs": [[1, -2], [2, -3], [3]]}),
+            (CertificateKind.LONG_TAIL,
+             {"m": 3, "r": 1, "cycle": [0, 1, 2], "attach": 0, "tail": [True]}),
+            (CertificateKind.LONG_TAIL,
+             {"m": 3, "r": 2, "cycle": [0, 1, 2], "attach": 0, "tail": [3, 4]}),
+        ],
+        ids=["long_tail-negative", "spider-negative", "long_tail-bool", "long_tail-past-order"],
+    )
+    def test_witness_ids_outside_the_iterate_fail_verification(self, kind, witness):
+        # the tailed triangle converges at n = 4 (N = 1): no witness may verify
+        g = make_tailed_cycle(1, 3)
+        assert classify(g, 4).outcome is Outcome.CONVERGED
+        assert not verify_certificate(g, 4, Certificate(kind, 0, witness))
+
+    def test_certificates_of_the_benchmark_pool_verify(self):
+        pool = json.loads(
+            (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+        )["classify"]["pool"]
+        kinds = set()
+        for item in pool:
+            g = parse_graph(item["graph"])
+            cert = classify(g, item["n"]).certificate
+            if cert is not None:
+                kinds.add(cert.kind)
+                assert verify_certificate(g, item["n"], cert), item
+        assert kinds == {CertificateKind.LONG_CYCLE, CertificateKind.TWIN_TAIL}
 
 
 class TestChordedCycleEmergence:

@@ -43,6 +43,22 @@ def test_public_names_resolve_and_the_test_only_ones_are_gone():
         assert not hasattr(hline, name) and not hasattr(module, name)
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_the_acceptance_suite():
+    # against the fresh interpreter's own modules, so that site hooks do not count
+    code = (
+        "import sys; before = set(sys.modules); import hline.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(hline.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    added = set(out.split())
+    assert "hline.cli" in added
+    assert not added & {"dataclasses", "inspect", "hline.acceptance"}, added
+
+
 def test_family_prints_both_formats(capsys):
     code, out, _ = run(capsys, "family", "CL(3,3,2)")
     assert code == EXIT_OK

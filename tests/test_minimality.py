@@ -28,6 +28,7 @@ from hline.graph import (
 from hline.io import parse_graph6
 from hline.minimality import (
     CONJECTURE_IDS,
+    ClassificationSummary,
     Classifier,
     arm_decomposition,
     enumerate_connected_graphs,
@@ -136,6 +137,13 @@ class TestMinimalityDecision:
 
     def test_terminating_graph_is_not_minimal(self):
         assert minimality_decision(make_spider(1, 1, 1), 4).status == "no"
+
+    def test_results_decided_without_an_audit_do_not_share_one_list(self):
+        first = minimality_decision(make_spider(1, 1, 1), 4)
+        second = minimality_decision(make_spider(1, 1, 1), 4)
+        assert first == second and first.audit == []
+        first.audit.append(("00", "converged"))
+        assert second.audit == [] and first != second
 
     def test_isolated_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -813,3 +821,13 @@ def test_classifier_memo_consistency():
     relabel = Graph(5, [(4, 3), (3, 1), (1, 0), (0, 4), (4, 2)])
     assert is_isomorphic(g, relabel)
     assert clf.summary(relabel) is first
+
+
+@pytest.mark.parametrize(
+    "g, n",
+    [(make_cycle(6), 4), (make_spider(1, 1, 1), 4), (make_spider(3, 3, 2), 6)],
+    ids=["converged", "terminated", "diverged"],
+)
+def test_summaries_survive_json_round_trip(g, n):
+    summary = summarize(classify(g, n))
+    assert ClassificationSummary.from_json(json.loads(json.dumps(summary.to_json()))) == summary
