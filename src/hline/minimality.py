@@ -98,7 +98,9 @@ class Classifier:
     persistent cache behind the in-memory memo.
 
     A class whose `Graph._parent_code` names a class the memo holds as
-    `diverged_by_order` inherits that summary and is not classified.
+    `diverged_by_order` inherits that summary and is not classified.  So
+    the inheritance needs each parent summarized before its children,
+    which the order of `enumerate_connected_graphs` gives a sweep.
     Inherited summaries live in the memo only, neither looked up in the
     cache nor written to it: `classify` on the class itself may report
     another certificate kind or an earlier step.
@@ -269,28 +271,40 @@ def minimality_decision(
 def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     """One representative per isomorphism class of connected graphs with at
     most v_max vertices and e_max edges, by canonical augmentation (McKay
-    1998).  Deterministic order: by order, then canonical code.
+    1998), walked depth first.
 
-    Each level joins a new vertex x to a nonempty anchor subset S of every
-    parent of the level below.  The child is accepted only when x is a
-    canonical deletion vertex.  Among the non-cut vertices (deleting one
-    keeps the graph connected) let f(u) = (degree of u, sorted degrees of
-    its neighbours); x must have the least f, a test that needs no labeling
-    (`_deletion_ties`).  When other non-cut vertices share that f, let w be
-    the first of them and x in the child's canonical order
-    (`Graph._canonical_order`); a w other than x must leave the parent's
-    class behind, canonical_code(child - w) == canonical_code(parent).
-    A child whose code the level already holds is dropped before that test.
+    Order: depth first from the order-1 class.  Each class is yielded
+    before its children, which follow in anchor-mask order, each with its
+    own descendants.  So every class comes after its parent, which is all
+    `Classifier.summary` needs; callers that print sort by (order, code)
+    themselves.  The order is deterministic.
+
+    Each class of order below v_max is joined, by a new vertex x, to a
+    nonempty anchor subset S of its vertices.  The child is accepted only
+    when x is a canonical deletion vertex.  Among the non-cut vertices
+    (deleting one keeps the graph connected) let f(u) = (degree of u,
+    sorted degrees of its neighbours); x must have the least f, a test
+    that needs no labeling (`_deletion_ties`).  When other non-cut vertices
+    share that f, let w be the first of them and x in the child's canonical
+    order (`Graph._canonical_order`); a w other than x must leave the
+    parent's class behind, canonical_code(child - w) == canonical_code(parent).
 
     Completeness: let C be connected of order v >= 2 with at most e_max
     edges, and w its canonical deletion vertex as above (every connected
     graph of order >= 2 has non-cut vertices).  C - w is connected with
-    fewer edges, so its class has a representative P one level down.  An
+    fewer edges, so its class has a representative P one order down.  An
     isomorphism C - w -> P maps N(w) onto an anchor set S of P, and with
     w -> x it maps C onto the child of S, taking w to x: f(x) is least,
     and the first tying vertex w' of the child satisfies child - w' ~
     C - w ~ P, since canonical orders of isomorphic graphs differ by an
     isomorphism.  So the child of S, a copy of C, is accepted.
+
+    No collisions across parents: an accepted child C has C - w ~ P for
+    its canonical deletion vertex w, and the class of C - w depends on C's
+    class alone, so every accepted copy of a class comes from the one
+    parent class that C - w fixes.  So no earlier class needs to be kept;
+    the walk holds only the path from the root to the current class, one
+    child iterator per order.
 
     Orbit pruning: S is skipped, unbuilt and unlabeled, when an
     automorphism gamma that labeling stored on the parent
@@ -300,10 +314,19 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
     from the same loop; the lexicographically least set of each orbit is
     never skipped.  Stored automorphisms need not generate the whole
     group, so one parent can still yield two accepted copies of a class;
-    the level dict, keyed by code, keeps the first.
+    the set of accepted codes below keeps the first.
+
+    The walk keeps one set of accepted codes per order, bytes only.  A set
+    per parent would do for correctness, since copies never collide across
+    parents; the order's set is a shortcut that drops a copy of an
+    accepted class from another parent before the tie test, whose deletion
+    labeling that copy would fail.  It costs one code per class visited,
+    about 75 bytes with its set entry: some 19 MB for the 261,080 classes
+    of order 9, where keeping each order's classes as graphs peaked at
+    744 MB.
 
     Anchor sets are vertex bit masks (bit a for vertex a), listed once per
-    level in the order of `itertools.combinations` by size, and both
+    order in the order of `itertools.combinations` by size, and both
     filters work on them (`_orbit_minimal`, `_deletion_ties`).
 
     Each accepted child records the code of its parent, a subgraph class
@@ -317,45 +340,59 @@ def enumerate_connected_graphs(v_max: int, e_max: int | None = None):
         raise ValueError(f"v_max {v_max} exceeds enumeration cap {ENUMERATION_CAP}")
     if e_max is None:
         e_max = v_max * (v_max - 1) // 2
-    level: dict[bytes, Graph] = {canonical_code(Graph(1)): Graph(1)}
-    for code in sorted(level):
-        yield level[code]
-    for v in range(2, v_max + 1):
-        x = v - 1
-        masks: list[int] = []
-        ends = [0]  # ends[k]: the number of anchor masks with at most k bits
-        for k in range(1, x + 1):
-            masks += [sum(1 << a for a in subset) for subset in combinations(range(x), k)]
-            ends.append(len(masks))
-        new_edges = [tuple((a, x) for a in range(x) if m >> a & 1) for m in range(1 << x)]
-        nxt: dict[bytes, Graph] = {}
-        for pcode, parent in level.items():
-            free = e_max - parent.size
-            if free < 1:
+    # per parent order x: the anchor masks, ends[k] = the number of them
+    # with at most k bits, the new edges of each mask, and the accepted
+    # codes of order x + 1; built when a parent of order x first expands
+    tables: dict[int, tuple[list[int], list[int], list[tuple], set[bytes]]] = {}
+
+    def children(parent: Graph):
+        """The children of `parent` that the tests above accept, in
+        anchor-mask order."""
+        x = parent.order
+        if x not in tables:
+            masks: list[int] = []
+            ends = [0]
+            for k in range(1, x + 1):
+                masks += [sum(1 << a for a in subset) for subset in combinations(range(x), k)]
+                ends.append(len(masks))
+            new_edges = [tuple((a, x) for a in range(x) if m >> a & 1) for m in range(1 << x)]
+            tables[x] = masks, ends, new_edges, set()
+        masks, ends, new_edges, accepted = tables[x]
+        pcode = parent._code
+        adj = parent._adj
+        edges = parent.edges()
+        pieces = [_pieces_without(adj, u) for u in range(x)]
+        free = e_max - parent.size
+        for m in _orbit_minimal(masks[: ends[min(free, x)]], parent._automorphisms):
+            ties = _deletion_ties(adj, m, pieces)
+            if ties is None:
                 continue
-            adj = parent._adj
-            edges = parent.edges()
-            pieces = [_pieces_without(adj, u) for u in range(x)]
-            for m in _orbit_minimal(masks[: ends[min(free, x)]], parent._automorphisms):
-                ties = _deletion_ties(adj, m, pieces)
-                if ties is None:
-                    continue
-                child = Graph(v, edges + new_edges[m])
-                code = canonical_code(child)
-                if code in nxt:
-                    continue
-                if ties:
-                    order = child._canonical_order
-                    w = next(u for u in order if u == x or u in ties)
-                    if w != x:
-                        rest, _ = induced_subgraph(child, set(range(v)) - {w})
-                        if canonical_code(rest) != pcode:
-                            continue
-                child._parent_code = pcode
-                nxt[code] = child
-        level = nxt
-        for code in sorted(level):
-            yield level[code]
+            child = Graph(x + 1, edges + new_edges[m])
+            code = canonical_code(child)
+            if code in accepted:
+                continue
+            if ties:
+                order = child._canonical_order
+                w = next(u for u in order if u == x or u in ties)
+                if w != x:
+                    rest, _ = induced_subgraph(child, set(range(x + 1)) - {w})
+                    if canonical_code(rest) != pcode:
+                        continue
+            child._parent_code = pcode
+            accepted.add(code)
+            yield child
+
+    root = Graph(1)
+    canonical_code(root)
+    stack = [iter((root,))]  # the child iterators along the path from the root
+    while stack:
+        g = next(stack[-1], None)
+        if g is None:
+            stack.pop()
+            continue
+        yield g
+        if g.order < v_max and g.size < e_max:
+            stack.append(children(g))
 
 
 def _image_table(gamma: list[int]) -> list[int]:
@@ -790,23 +827,27 @@ def run_conjecture(
 
     The conjecture's predicate sees each class and returns a candidate,
     None, or _UNDECIDED.  Candidates are re-checked from fresh
-    classifications (no cache) before being reported.  A candidate of a
-    refuting harness gives counterexample-found; otherwise any candidate or
-    undecided class gives inconclusive.
+    classifications (no cache) before being reported, sorted by the order
+    and canonical code of their class.  A candidate of a refuting harness
+    gives counterexample-found; otherwise any candidate or undecided class
+    gives inconclusive.
     """
     if conjecture not in CONJECTURE_IDS:
         raise ValueError(f"unknown conjecture id {conjecture!r}")
     harness = _HARNESSES[conjecture]
     clf = Classifier(n, budget, cache)
     stats = dict.fromkeys(harness.stats, 0)
-    candidates: list[ConjectureCandidate] = []
+    found: list[tuple[bytes, ConjectureCandidate]] = []
     undecided = False
     for g in enumerate_connected_graphs(v_max):
         verdict = harness.predicate(g, clf, stats)
         if verdict is _UNDECIDED:
             undecided = True
         elif verdict is not None:
-            candidates.append(verdict)
+            found.append((g._code, verdict))  # stored by the enumeration
+    # a code begins with the order, so this sorts by (order, code)
+    found.sort(key=lambda item: item[0])
+    candidates = [candidate for _, candidate in found]
     if candidates and harness.refuting:
         status = STATUS_COUNTEREXAMPLE
     elif candidates or undecided:

@@ -218,12 +218,18 @@ def naive_connected_graphs(v_max: int, e_max: int | None = None) -> list[Graph]:
     return out
 
 
+def by_order_and_code(graphs) -> list[Graph]:
+    """The graphs sorted by order, then canonical code: the order in which
+    sweeps report, and in which the representative pins were taken."""
+    return sorted(graphs, key=lambda g: (g.order, canonical_code(g)))
+
+
 def two_component_unions(v_max: int) -> list[Graph]:
     """One representative per isomorphism class of disjoint unions of two
     connected graphs of order >= 2 and combined order at most v_max,
     ordered by order, then code.  Sweeps leave unions out (see the
     minimality module docstring); these check that they may."""
-    connected = minimality.enumerate_connected_graphs(v_max - 2)
+    connected = by_order_and_code(minimality.enumerate_connected_graphs(v_max - 2))
     parts = [g for g in connected if g.order >= 2]
     unions: dict[bytes, Graph] = {}
     for a, b in combinations_with_replacement(parts, 2):

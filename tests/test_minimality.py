@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -43,6 +44,7 @@ from hline.operator import hl_step
 
 from conftest import (
     all_labeled_graphs,
+    by_order_and_code,
     disjoint_union,
     naive_connected_graphs,
     naive_minimal_classes,
@@ -256,11 +258,11 @@ class TestEnumeration:
         "args", [(v_max,) for v_max in range(1, 8)] + [(8, 7), (8, 8)]
     )
     def test_same_codes_as_extend_and_reject(self, args):
-        mine = [canonical_code(g) for g in enumerate_connected_graphs(*args)]
+        mine = [canonical_code(g) for g in by_order_and_code(enumerate_connected_graphs(*args))]
         assert mine == [canonical_code(g) for g in naive_connected_graphs(*args)]
 
     def test_order_8_count(self):
-        graphs = list(enumerate_connected_graphs(8))
+        graphs = by_order_and_code(enumerate_connected_graphs(8))
         assert len(graphs) == 12_113
         assert sum(1 for g in graphs if g.order == 8) == 11_117  # OEIS A001349
         # one order-8 class is kept only through the deletion labeling
@@ -268,6 +270,35 @@ class TestEnumeration:
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "acaa4e925e1d2227fa0d0ee65d3233c3d51326dc9d289072d4d3a8c8207f9b34"
         )
+
+    def test_each_class_follows_its_parent(self):
+        # the contract divergence inheritance rests on: every class once,
+        # after the class its `_parent_code` names; each carries its code,
+        # by which `run_conjecture` sorts its candidates
+        seen: set[bytes] = set()
+        for g in enumerate_connected_graphs(8):
+            code = g._code
+            assert code is not None
+            assert code not in seen
+            assert (g._parent_code is None) == (g.order == 1)
+            assert g.order == 1 or g._parent_code in seen
+            seen.add(code)
+        per_order = Counter(int.from_bytes(code[:4], "big") for code in seen)
+        # OEIS A001349
+        assert [per_order[v] for v in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11_117]
+
+    def test_streaming_keeps_one_path_not_whole_orders(self):
+        # depth first, the walk holds the path to the current class and one
+        # code per class; holding every class of an order as a graph, with
+        # its automorphisms and canonical order, peaked at 26.4 MB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_connected_graphs(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 12_113
+        assert peak < 4_000_000
 
     def test_degree_filter_skips_cut_vertices(self):
         def ties(parent, anchors):
@@ -347,7 +378,7 @@ class TestEnumeration:
             ]
         assert checked > 996
 
-    # SHA-256 over the representatives, in enumeration order; they are the
+    # SHA-256 over the representatives, by order, then code; they are the
     # first child per code that canonical augmentation accepts
     @pytest.mark.parametrize(
         "generate, args, count, digest",
@@ -368,7 +399,7 @@ class TestEnumeration:
         ids=["connected-7", "connected-7-8", "unions-8"],
     )
     def test_representatives_are_pinned(self, generate, args, count, digest):
-        graphs = list(generate(*args))
+        graphs = by_order_and_code(generate(*args))
         assert len(graphs) == count
         blob = json.dumps([[g.order, [list(e) for e in g.edges()]] for g in graphs])
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
@@ -741,6 +772,15 @@ class TestConjectureHarness:
             g = Graph(data["order"], [tuple(e) for e in data["edges"]])
             assert classify(g, 5).outcome is Outcome.CONVERGED
 
+    def test_candidates_are_sorted_by_order_and_code(self, non_refuting_harness):
+        # depth first, the enumeration reaches the 8 candidates at orders
+        # 7, 6, 5, 5, 7, 6, 5, 5; the report sorts them by order, then code
+        report = run_conjecture(non_refuting_harness, 5, 7)
+        digest = hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "4790ce3ae57f8a3853a25814304e2a24dad1769698e17ab46a656637ccac35d4"
+        )
+
     def test_three_conjecture_ids(self):
         assert CONJECTURE_IDS == (
             "divergence-iff-long-cycle",
@@ -779,7 +819,8 @@ class TestConjectureHarness:
         assert report.stats == {"swept": 143, "unknown": 3}
         assert [c.claims["orders"] for c in report.candidates] == [[5, 9], [5, 10], [6, 9]]
         assert all(c.replayed for c in report.candidates)
-        assert calls == [9, 10, 9]
+        # the calls follow the enumeration, the candidates the sorted report
+        assert sorted(calls) == [9, 9, 10]
         digest = hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode())
         assert digest.hexdigest() == (
             "567d8b032a96acaef75850cca197d31210f25166ebefe68c8db4fd017294a0ef"
